@@ -16,12 +16,15 @@ Branches by forcing strength:
   period Xi = 2*pi*alpha/sqrt(gamma^2 - 1) -- an array of equally spaced
   kinks.
 * gamma == 0:    the undriven equation alpha*g' = -sin(g) integrates to
-  g = 2*atan(exp((xi0 - xi)/alpha)) and its mirror; both are kept as
-  explicit branches because the gamma < 1 formulas degenerate there.
+  g = 2*atan(exp((xi0 - xi)/alpha)) and its mirror, i.e. y = -exp((xi - xi0)/alpha)
+  and y = +exp((xi - xi0)/alpha); both are kept as explicit branches
+  because the gamma < 1 formulas degenerate there.
 
-g is kept continuous through the poles of y by adding 2*pi per pole
-crossed; pole locations are known analytically per branch, so no numerical
-unwrap heuristics are involved.
+As F = tan(pi/4 + atan(y)/2), every branch has the one pole-free formula
+g = pi + 2*atan(y) + 2*pi*turns, where turns counts the poles of y left of
+xi from the same phase variable as y (round(u) on the kink array, the sign
+of the denominator on increasing2 and critical_kink).  Pole locations are
+analytic, so no numerical unwrap heuristics are involved.
 """
 
 from __future__ import annotations
@@ -33,12 +36,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, constant_solutions
+from .model import TWO_PI, ModelParams, constant_solutions
 
-TWO_PI = 2.0 * math.pi
-
-# Relative half-width of the analytic pole windows inside which g is
-# evaluated by its (exact) limit value instead of through F(y(xi)).
+# Relative half-width of the analytic pole windows inside which y_eval
+# serves y as a signed infinity.
 _POLE_WINDOW = 1e-8
 
 
@@ -151,19 +152,42 @@ def F_map(y):
     return F if arr.ndim else float(F)
 
 
-def _require_branch(wave: TravellingWave, allowed) -> None:
-    if wave.branch not in allowed:
-        raise DomainError(f"operation not defined for branch {wave.branch.value}")
+def _riccati(wave: TravellingWave, d):
+    """Window-free y at d = xi - xi0 and the number of poles of y left of xi.
 
-
-_Y_BRANCHES = (
-    WaveBranch.DECREASING1,
-    WaveBranch.INCREASING2,
-    WaveBranch.CRITICAL_KINK,
-    WaveBranch.KINK_ARRAY,
-    WaveBranch.PURE_SG_DECREASING,
-    WaveBranch.PURE_SG_INCREASING,
-)
+    Both come from one phase variable, so they agree on which side of a
+    pole d lies: round(u) on the kink array, and on increasing2 and
+    critical_kink the sign bit of den in y = c + k/den (k > 0).
+    """
+    p = wave.params
+    branch = wave.branch
+    if branch.is_constant:
+        raise DomainError(f"operation not defined for branch {branch.value}")
+    turns = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if branch is WaveBranch.KINK_ARRAY:
+            u = d / xi_period(p)
+            turns = np.round(u)
+            c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
+            y = -1.0 / p.gamma + c * np.tan(math.pi * (u - turns))
+        elif branch is WaveBranch.PURE_SG_DECREASING:
+            y = -np.exp(d / p.alpha)
+        elif branch is WaveBranch.PURE_SG_INCREASING:
+            y = np.exp(d / p.alpha)
+        elif branch is WaveBranch.DECREASING1:
+            fp = y_fixed_points(p)
+            y = fp.y_minus + (fp.y_plus - fp.y_minus) / (1.0 + np.exp(subcritical_rate(p) * d))
+        else:
+            if branch is WaveBranch.CRITICAL_KINK:
+                c, k, den = -1.0, 2.0 * p.alpha, -d
+            else:
+                fp = y_fixed_points(p)
+                c, k = fp.y_minus, fp.y_plus - fp.y_minus
+                # expm1 keeps y accurate next to the pole, where 1 - exp(A*d) cancels
+                den = -np.expm1(subcritical_rate(p) * d)
+            y = c + k / den
+            turns = np.signbit(den)  # den = -0.0 at d = +0.0, where y = -inf
+    return y, turns
 
 
 def y_eval(wave: TravellingWave, xi):
@@ -174,93 +198,36 @@ def y_eval(wave: TravellingWave, xi):
     infinity: +inf approaching a pole from the left, -inf leaving it to the
     right, +inf at the exact pole (y increases through all of them).
     """
-    _require_branch(wave, _Y_BRANCHES)
     p = wave.params
-    branch = wave.branch
     arr = np.asarray(xi, dtype=float)
     d = arr - wave.xi0
-    pole_offset = None  # signed distance to the nearest pole, if any
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if branch is WaveBranch.DECREASING1:
-            fp = y_fixed_points(p)
-            e = np.exp(subcritical_rate(p) * d)
-            y = fp.y_minus + (fp.y_plus - fp.y_minus) / (1.0 + e)
-        elif branch is WaveBranch.INCREASING2:
-            fp = y_fixed_points(p)
-            e = np.exp(subcritical_rate(p) * d)
-            y = fp.y_minus + (fp.y_plus - fp.y_minus) / (1.0 - e)
-            pole_offset = d
-        elif branch is WaveBranch.CRITICAL_KINK:
-            y = -1.0 - 2.0 * p.alpha / d
-            pole_offset = d
-        elif branch is WaveBranch.KINK_ARRAY:
-            period = xi_period(p)
-            u = d / period
-            w = u - np.round(u)  # reduced phase in [-1/2, 1/2]; poles at |w| = 1/2
-            c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
-            y = -1.0 / p.gamma + c * np.tan(math.pi * w)
-            pole_offset = d - period * (np.round(u - 0.5) + 0.5)
-        else:  # pure sine-Gordon: y = -cot(g/2) with g from the explicit profile
-            g = _g_pure_sg(wave, d)
-            y = -np.cos(0.5 * g) / np.sin(0.5 * g)
-        if pole_offset is not None:
-            window = _pole_window(wave)
-            near = np.abs(pole_offset) < window
-            y = np.where(near & (pole_offset <= 0.0), math.inf, y)
-            y = np.where(near & (pole_offset > 0.0), -math.inf, y)
+    y, _ = _riccati(wave, d)
+    pole_offset = d
+    if wave.branch is WaveBranch.KINK_ARRAY:
+        period = xi_period(p)
+        pole_offset = d - period * (np.round(d / period - 0.5) + 0.5)
+        scale = period
+    elif wave.branch is WaveBranch.CRITICAL_KINK:
+        scale = p.alpha
+    elif wave.branch is WaveBranch.INCREASING2:
+        scale = 1.0 / subcritical_rate(p)
+    else:
+        return y if arr.ndim else float(y)
+    near = np.abs(pole_offset) < _POLE_WINDOW * max(1.0, scale)
+    y = np.where(near, np.where(pole_offset <= 0.0, math.inf, -math.inf), y)
     return y if arr.ndim else float(y)
 
 
-def _g_pure_sg(wave: TravellingWave, d):
-    """Unwrapped g for the gamma = 0 branches (no poles, base range (0, 2*pi))."""
-    with np.errstate(over="ignore"):
-        half = 2.0 * np.arctan(np.exp(-d / wave.params.alpha))
-    if wave.branch is WaveBranch.PURE_SG_DECREASING:
-        return half
-    return TWO_PI - half
-
-
-def _pole_window(wave: TravellingWave) -> float:
-    """Half-width of the neighborhood where g is served from its limit value."""
-    p = wave.params
-    if wave.branch is WaveBranch.KINK_ARRAY:
-        scale = max(1.0, xi_period(p))
-    elif wave.branch is WaveBranch.CRITICAL_KINK:
-        scale = max(1.0, p.alpha)
-    else:
-        scale = max(1.0, 1.0 / subcritical_rate(p))
-    return _POLE_WINDOW * scale
-
-
 def g_eval(wave: TravellingWave, xi):
-    """Continuous unwrapped g(xi) for a non-constant branch.
+    """Continuous unwrapped g(xi) = pi + 2*atan(y) + 2*pi*turns, non-constant branches.
 
-    The base value 4*atan(F(y(xi))) lies in (0, 2*pi); continuity through
-    each pole of y is restored by adding 2*pi per pole left of xi.  Within
-    a tiny analytic window of each pole g is served from its exact limit
-    value (y overflows there, the limit does not).
+    This equals the paper's 4*atan(F(y)) for every real y, with turns the
+    number of poles of y left of xi taken from the same phase variable as
+    y, so g is smooth through every pole: no window, no limit override.
     """
-    _require_branch(wave, _Y_BRANCHES)
-    branch = wave.branch
     arr = np.asarray(xi, dtype=float)
-    d = arr - wave.xi0
-
-    if branch in (WaveBranch.PURE_SG_DECREASING, WaveBranch.PURE_SG_INCREASING):
-        g = _g_pure_sg(wave, d)
-        return g if arr.ndim else float(g)
-
-    base = 4.0 * np.arctan(F_map(y_eval(wave, arr)))
-    if branch is WaveBranch.DECREASING1:
-        g = base
-    elif branch in (WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK):
-        g = base + TWO_PI * (d > 0.0)
-        g = np.where(np.abs(d) < _pole_window(wave), TWO_PI, g)
-    else:  # kink array
-        period = xi_period(wave.params)
-        g = base + TWO_PI * np.floor(d / period + 0.5)
-        k = np.round(d / period - 0.5)  # index of the nearest pole
-        dist = np.abs(d - period * (k + 0.5))
-        g = np.where(dist < _pole_window(wave), TWO_PI * (k + 1.0), g)
+    y, turns = _riccati(wave, arr - wave.xi0)
+    g = math.pi + 2.0 * np.arctan(y) + TWO_PI * turns
     return g if arr.ndim else float(g)
 
 

@@ -14,7 +14,11 @@ class NoConvergence(SGWaveError, RuntimeError):
 
 
 class PoleProximity(SGWaveError, ValueError):
-    """Requested evaluation is too close to a pole for the stencil in use."""
+    """Requested evaluation is too close to a pole for the stencil in use.
+
+    No routine in the package raises it any more (g and phi are smooth at
+    every pole); it stays importable for callers that catch it.
+    """
 
 
 class BlowUp(SGWaveError, RuntimeError):

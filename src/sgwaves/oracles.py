@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import F_map, TravellingWave, WaveBranch, phi_eval, theta, xi_period
-from .errors import DomainError, NoConvergence, PoleProximity
-from .model import ModelParams
-
-TWO_PI = 2.0 * math.pi
+from .closed_form import F_map, TravellingWave, phi_eval, theta
+from .errors import DomainError, NoConvergence
+from .model import TWO_PI, ModelParams
 
 DEFAULT_ODE_TOL = 1e-9
 DEFAULT_QUAD_TOL = 1e-10
@@ -353,30 +351,15 @@ def identities_check(gamma: float) -> IdentityReport:
     return IdentityReport(gamma, res)
 
 
-def _nearest_pole_distance(wave: TravellingWave, xi: float) -> float:
-    """Distance from xi to the nearest pole of y, inf for pole-free branches."""
-    d = xi - wave.xi0
-    if wave.branch in (WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK):
-        return abs(d)
-    if wave.branch is WaveBranch.KINK_ARRAY:
-        period = xi_period(wave.params)
-        k = round(d / period - 0.5)
-        return abs(d - period * (k + 0.5))
-    return math.inf
-
-
 def pde_residual(wave: TravellingWave, x: float, t: float, h: float) -> float:
     """Field-equation residual phi_tt - phi_xx + sin(phi) + alpha*phi_t + gamma.
 
-    Second derivatives use 5-point central stencils of step h on phi_eval;
-    the point must keep more than 10*h away from any pole of y so no
-    stencil point lands in a pole window.
+    Second derivatives use 5-point central stencils of step h on phi_eval.
+    phi is smooth through every pole of y, so any point is accepted,
+    poles included.
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    xi = wave.chirality * x - t
-    if not wave.branch.is_constant and _nearest_pole_distance(wave, xi) <= 10.0 * h:
-        raise PoleProximity(f"(x={x}, t={t}) maps within 10*h of a pole of y")
     off = h * np.arange(-2.0, 3.0)
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)

@@ -22,9 +22,7 @@ import numpy as np
 
 from .closed_form import TravellingWave, phi_eval, xi_period
 from .errors import BlowUp, DomainError
-from .model import ModelParams, wrap_to
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, ModelParams, energy_density, wrap_to
 
 BLOWUP_THRESHOLD = 1e6  # radians; far beyond any physical excursion
 
@@ -183,7 +181,7 @@ def _second_difference(state: FieldState) -> np.ndarray:
 
 
 def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
-    """Advance one leapfrog step; raises BlowUp past the divergence threshold."""
+    """Advance one leapfrog step; raises BlowUp past the divergence threshold or on NaN."""
     if dt != state.dt:
         raise DomainError("dt must match the state's leapfrog spacing")
     if dt > state.dx:
@@ -197,8 +195,8 @@ def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
         bw = state.boundary_wave
         phi_next[0] = phi_eval(bw, state.x0, t_next)
         phi_next[-1] = phi_eval(bw, state.x0 + (state.n - 1) * state.dx, t_next)
-    if np.max(np.abs(phi_next)) > BLOWUP_THRESHOLD:
-        raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} at t={t_next:g}", t=t_next)
+    if not np.max(np.abs(phi_next)) <= BLOWUP_THRESHOLD:  # also catches NaN
+        raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
     return replace(state, phi=phi_next, phi_prev=phi, t=t_next)
 
 
@@ -318,7 +316,7 @@ def total_energy(state: FieldState, params: ModelParams) -> float:
     """
     phi_t = _phi_t_centered(state, params)
     phi_x = _phi_x_centered(state)
-    h = 0.5 * phi_t ** 2 + 0.5 * phi_x ** 2 + params.gamma * state.phi - np.cos(state.phi)
+    h = energy_density(state.phi, phi_t, phi_x, params.gamma)
     if state.boundary is BoundaryMode.TWISTED_PERIODIC:
         return float(state.dx * np.sum(h))
     return float(state.dx * (0.5 * h[0] + np.sum(h[1:-1]) + 0.5 * h[-1]))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgwaves import (
     DomainError,
@@ -13,6 +15,7 @@ from sgwaves import (
     g_eval,
     g_limits,
     g_slope,
+    ode_solve_g,
     phi_eval,
     phi_limits,
     subcritical_rate,
@@ -52,6 +55,34 @@ def pole_free_grid(w, lo, hi, n, margin=1.5e-3):
         k = np.round((xs - w.xi0) / period - 0.5)
         return xs[np.abs(xs - w.xi0 - period * (k + 0.5)) > margin]
     return xs
+
+
+@st.composite
+def pole_waves(draw):
+    """Random wave of a branch whose y has poles, either chirality."""
+    branch = draw(st.sampled_from(
+        [WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK, WaveBranch.KINK_ARRAY]))
+    if branch is WaveBranch.INCREASING2:
+        gamma = draw(st.floats(0.05, 0.95))
+    elif branch is WaveBranch.KINK_ARRAY:
+        gamma = draw(st.floats(1.01, 5.0))
+    else:
+        gamma = 1.0
+    return wave(branch, draw(st.floats(0.3, 2.0)), gamma,
+                draw(st.floats(-10.0, 10.0)), draw(st.sampled_from([1, -1])))
+
+
+def pole_of(w, k):
+    """xi of pole k of y (the only pole off the kink array) and g there."""
+    if w.branch is WaveBranch.KINK_ARRAY:
+        return w.xi0 + xi_period(w.params) * (k + 0.5), TWO_PI * (k + 1)
+    return w.xi0, TWO_PI
+
+
+# An earlier g_eval served this pole's limit value inside a 9.5e-8 window,
+# 7e-8 off the true g at delta = 5e-8.
+SEED_WINDOW_CASE = wave(WaveBranch.KINK_ARRAY, 0.7576, 1.1179)
+POLE_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
 
 class TestWaveConstruction:
@@ -268,6 +299,45 @@ class TestGEval:
     def test_constant_branch_rejected(self):
         with pytest.raises(DomainError):
             g_eval(wave(WaveBranch.CONSTANT_U, 1.0, 0.5), 0.0)
+
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    def test_paper_chain_identity(self, branch, alpha, gamma):
+        # the paper's route 4*atan(F(y)) gives g mod 2*pi wherever y_eval is finite
+        w = wave(branch, alpha, gamma, xi0=0.3)
+        xs = np.linspace(-12.0, 12.0, 2001)
+        y = y_eval(w, xs)
+        finite = np.isfinite(y)
+        chain = 4.0 * np.arctan(F_map(y[finite]))
+        assert np.max(np.abs(wrap_to(g_eval(w, xs[finite]) - chain))) < 1e-12
+
+
+class TestGAtPoles:
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES[1:3])
+    def test_signed_zero_at_pole(self, branch, alpha, gamma):
+        # xi - xi0 is -0.0 for xi = -0.0, xi0 = 0.0: y = +inf with no turn yet
+        w = wave(branch, alpha, gamma)
+        assert g_eval(w, np.array([-0.0, 0.0])) == pytest.approx([TWO_PI, TWO_PI], abs=1e-15)
+
+    @POLE_SETTINGS
+    @given(w=pole_waves(), k=st.integers(-3, 3), delta=st.floats(-1e-4, 1e-4))
+    @example(w=SEED_WINDOW_CASE, k=0, delta=5e-8)
+    @example(w=wave(WaveBranch.INCREASING2, 0.5, 0.5), k=0, delta=1e-17)  # exp(A*d) == 1.0
+    def test_taylor_expansion(self, w, k, delta):
+        # at a pole g = 2*pi*m, so g' = gamma/alpha and g'' = -gamma/alpha^2
+        pole, g_pole = pole_of(w, k)
+        a, gamma = w.params.alpha, w.params.gamma
+        taylor = g_pole + (gamma / a) * delta - 0.5 * (gamma / a ** 2) * delta ** 2
+        g = phi_eval(w, w.chirality * (pole + delta), 0.0) + math.pi
+        assert abs(g - taylor) < 1e-10
+
+    @settings(POLE_SETTINGS, max_examples=25)
+    @given(w=pole_waves(), k=st.integers(-3, 3))
+    @example(w=SEED_WINDOW_CASE, k=0)
+    def test_matches_ode_through_pole(self, w, k):
+        pole, _ = pole_of(w, k)
+        lo, hi = pole - 0.1, pole + 0.1
+        sol = ode_solve_g(w.params, g_eval(w, lo), (lo, hi), 1e-9)
+        assert np.max(np.abs(sol.ys - g_eval(w, sol.xs))) < 1e-8
 
 
 class TestGLimits:

@@ -133,6 +133,18 @@ class TestStep:
                 state = step(state, strong, state.dt)
         assert info.value.t is not None
 
+    def test_nan_field_detected(self):
+        # NaN compares False with the threshold, so the guard must not rely on '>'
+        state = uniform_state(value=0.0)
+        state = replace(state, phi=np.where(np.arange(state.n) == 7, math.nan, state.phi))
+        with pytest.raises(BlowUp) as info:
+            step(state, ModelParams(1.0, 0.5), state.dt)
+        assert info.value.t == pytest.approx(state.dt)
+        config = SimConfig(dt=state.dt, t_end=1.0, probe=True)
+        report = evolve(state, ModelParams(1.0, 0.5), config)
+        assert report.diverged_at == pytest.approx(state.dt)
+        assert report.final_state.t == 0.0
+
 
 class TestComovingDeviation:
     def test_self_distance_zero(self):
