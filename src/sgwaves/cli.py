@@ -17,6 +17,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -35,6 +36,7 @@ EXIT_DIVERGED = 3
 log = logging.getLogger("sgwaves")
 
 _BRANCH_NAMES = {b.value: b for b in WaveBranch}
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(value: float) -> str:
@@ -402,10 +404,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """`--xi0 -6.8e-05` -> `--xi0=-6.8e-05`; argparse takes -6.8e-05 for a flag."""
+    joined: list[str] = []
+    for token in argv:
+        if _NEGATIVE.match(token) and joined and re.match(r"--[^=]+$", joined[-1]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except BlowUp as exc:

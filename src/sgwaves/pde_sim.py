@@ -6,7 +6,7 @@ implicitly (one scalar division per point), so the CFL restriction comes
 from the wave part alone.  Domains are either a circle of length m*Xi with
 twisted periodic boundaries phi(x + L) = phi(x) + chirality*2*pi*m, or a
 segment whose end points are pinned to the exact travelling wave at the
-current time.
+current time.  `step` and `evolve` share one in-place leapfrog kernel.
 
 The stability observable is the co-moving deviation: the RMS distance
 between the field and the reference wave minimized over spatial shifts.
@@ -19,12 +19,14 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import TravellingWave, phi_eval, xi_period
 from .errors import BlowUp, DomainError
 from .model import TWO_PI, ModelParams, energy_density, wrap_to
 
 BLOWUP_THRESHOLD = 1e6  # radians; far beyond any physical excursion
+_SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
 
 
 class BoundaryMode(Enum):
@@ -166,38 +168,64 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
     )
 
 
-def _second_difference(state: FieldState) -> np.ndarray:
-    phi = state.phi
-    dd = np.empty_like(phi)
-    dd[1:-1] = phi[2:] - 2.0 * phi[1:-1] + phi[:-2]
-    if state.boundary is BoundaryMode.TWISTED_PERIODIC:
-        twist = state.twist
-        dd[0] = phi[1] - 2.0 * phi[0] + (phi[-1] - twist)
-        dd[-1] = (phi[0] + twist) - 2.0 * phi[-1] + phi[-2]
-    else:
-        dd[0] = 0.0   # end points are pinned below, values unused
-        dd[-1] = 0.0
-    return dd / (state.dx * state.dx)
+class _Leapfrog:
+    """The leapfrog kernel: phi at t - dt, t and t + dt in three ghost-padded buffers.
+
+    Ghost cells 0 and n+1 hold phi[-1] - twist and phi[0] + twist, so one
+    stencil covers every point.  On a segment (twist 0) they feed only the
+    end values, which are then pinned to the exact wave.
+    """
+
+    def __init__(self, state: FieldState, params: ModelParams):
+        if state.dt > state.dx:
+            raise DomainError(f"CFL violation: dt={state.dt} > dx={state.dx}")
+        self.prev, self.cur, self.nxt = np.empty((3, state.n + 2))
+        self.two_phi, self.tmp = np.empty((2, state.n))
+        self.prev[1:-1], self.cur[1:-1] = state.phi_prev, state.phi
+        self.twist = state.twist
+        self.cur[0], self.cur[-1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
+        half = 0.5 * params.alpha * state.dt
+        self.dx2, self.dt2 = state.dx * state.dx, state.dt * state.dt
+        self.keep, self.gain, self.gamma = 1.0 - half, 1.0 + half, params.gamma
+        self.pinned = None
+        if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
+            self.pinned = (state.boundary_wave, state.x0, state.x0 + (state.n - 1) * state.dx)
+
+    def advance(self, t_next: float) -> None:
+        """Write phi(t_next) into the spare buffer, check it, rotate; BlowUp keeps the last levels."""
+        cur, two_phi, tmp = self.cur, self.two_phi, self.tmp
+        phi, out = cur[1:-1], self.nxt[1:-1]
+        # (dt*dt*(phi_xx - sin(phi) - gamma) + 2*phi - keep*phi_prev) / gain, in this order
+        np.multiply(2.0, phi, out=two_phi)
+        np.subtract(cur[2:], two_phi, out=out)
+        np.add(out, cur[:-2], out=out)
+        np.divide(out, self.dx2, out=out)
+        np.subtract(out, np.sin(phi, out=tmp), out=out)
+        np.subtract(out, self.gamma, out=out)
+        np.multiply(self.dt2, out, out=out)
+        np.add(out, two_phi, out=out)
+        np.subtract(out, np.multiply(self.keep, self.prev[1:-1], out=tmp), out=out)
+        np.divide(out, self.gain, out=out)
+        if self.pinned is not None:
+            wave, x_lo, x_hi = self.pinned
+            out[0], out[-1] = phi_eval(wave, x_lo, t_next), phi_eval(wave, x_hi, t_next)
+        if not np.abs(out, out=tmp).max() <= BLOWUP_THRESHOLD:  # also catches NaN
+            raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
+        self.nxt[0], self.nxt[-1] = out[-1] - self.twist, out[0] + self.twist
+        self.prev, self.cur, self.nxt = cur, self.nxt, self.prev
+
+    def state(self, like: FieldState, t: float) -> FieldState:
+        """The current levels as a FieldState that owns copies of the arrays."""
+        return replace(like, phi=self.cur[1:-1].copy(), phi_prev=self.prev[1:-1].copy(), t=t)
 
 
 def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
     """Advance one leapfrog step; raises BlowUp past the divergence threshold or on NaN."""
     if dt != state.dt:
         raise DomainError("dt must match the state's leapfrog spacing")
-    if dt > state.dx:
-        raise DomainError(f"CFL violation: dt={dt} > dx={state.dx}")
-    phi, phi_prev = state.phi, state.phi_prev
-    accel = _second_difference(state) - np.sin(phi) - params.gamma
-    half = 0.5 * params.alpha * dt
-    phi_next = (dt * dt * accel + 2.0 * phi - (1.0 - half) * phi_prev) / (1.0 + half)
-    t_next = state.t + dt
-    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
-        bw = state.boundary_wave
-        phi_next[0] = phi_eval(bw, state.x0, t_next)
-        phi_next[-1] = phi_eval(bw, state.x0 + (state.n - 1) * state.dx, t_next)
-    if not np.max(np.abs(phi_next)) <= BLOWUP_THRESHOLD:  # also catches NaN
-        raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
-    return replace(state, phi=phi_next, phi_prev=phi, t=t_next)
+    kernel = _Leapfrog(state, params)
+    kernel.advance(state.t + dt)
+    return kernel.state(state, state.t + dt)
 
 
 def _perturbation_profile(state: FieldState, pert: Perturbation) -> np.ndarray:
@@ -231,28 +259,31 @@ def evolve(
         state = replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
 
     report = DeviationReport()
+    kernel = _Leapfrog(state, params)
+    t = state.t
 
-    def record(s: FieldState) -> None:
+    def record() -> None:
         if reference is None:
             return
-        dev, shift = comoving_deviation(s, reference)
-        report.times.append(s.t)
+        dev, shift = comoving_deviation(kernel.state(state, t), reference)
+        report.times.append(t)
         report.deviation.append(dev)
         report.best_shift.append(shift)
 
-    record(state)
+    record()
     n_steps = int(math.ceil(config.t_end / config.dt - 1e-12))
     for i in range(1, n_steps + 1):
         try:
-            state = step(state, params, config.dt)
+            kernel.advance(t + config.dt)
         except BlowUp as exc:
             if config.probe:
                 report.diverged_at = exc.t
                 break
             raise
+        t += config.dt
         if i % config.record_every == 0 or i == n_steps:
-            record(state)
-    report.final_state = state
+            record()
+    report.final_state = kernel.state(state, t)
     return report
 
 
@@ -260,32 +291,41 @@ def comoving_deviation(state: FieldState, reference: TravellingWave) -> tuple[fl
     """(RMS distance, shift) to the reference wave, minimized over translation.
 
     Scans n candidate shifts one grid spacing apart, then refines the
-    minimum with a 3-point parabola through the squared distances.
+    minimum with a 3-point parabola through the squared distances.  The
+    points x_i - s_j take only 2n - 1 values, so the scan makes O(n)
+    closed-form evaluations and O(n*block) memory.  On a twisted circle a
+    shift wrapped by k*L meets the reference plus k*twist, so every
+    candidate is compared modulo the twist.
     """
-    xs = state.x
-    n = state.n
-    shifts = (np.arange(n) - n // 2) * state.dx
-    ref = np.asarray(phi_eval(reference, xs[None, :] - shifts[:, None], state.t))
-    d2 = np.mean((state.phi[None, :] - ref) ** 2, axis=1)
+    n, twist = state.n, state.twist
+    points = state.x0 + state.dx * np.arange(n // 2 - n + 1, n // 2 + n)
+    # row j holds the reference at x_i - s_j, with shift s_j = (j - n//2)*dx
+    rows = sliding_window_view(np.asarray(phi_eval(reference, points, state.t)), n)[::-1]
+    block = max(1, _SCAN_BLOCK_POINTS // n)
+    d2 = np.concatenate([_mean_square_mod_twist(state.phi, rows[j:j + block], twist)
+                         for j in range(0, n, block)])
     j = int(np.argmin(d2))
-
-    periodic = state.boundary is BoundaryMode.TWISTED_PERIODIC
-    if periodic:
-        jm, jp = (j - 1) % n, (j + 1) % n
-    elif 0 < j < n - 1:
-        jm, jp = j - 1, j + 1
-    else:
-        return float(math.sqrt(d2[j])), float(shifts[j])
-
+    s_best = (j - n // 2) * state.dx
+    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE and j in (0, n - 1):
+        return float(math.sqrt(d2[j])), s_best
+    jm, jp = (j - 1) % n, (j + 1) % n
     denom = d2[jm] - 2.0 * d2[j] + d2[jp]
-    s_best = float(shifts[j])
     if denom > 0.0 and math.isfinite(denom):
         offset = 0.5 * state.dx * float(d2[jm] - d2[jp]) / float(denom)
         s_ref = s_best + max(-state.dx, min(state.dx, offset))
-        d2_ref = float(np.mean((state.phi - phi_eval(reference, xs - s_ref, state.t)) ** 2))
+        ref = phi_eval(reference, state.x - s_ref, state.t)
+        d2_ref = float(_mean_square_mod_twist(state.phi, ref, twist))
         if d2_ref <= d2[j]:
             return math.sqrt(d2_ref), s_ref
     return float(math.sqrt(d2[j])), s_best
+
+
+def _mean_square_mod_twist(phi: np.ndarray, ref: np.ndarray, twist: float) -> np.ndarray:
+    """Mean of (phi - ref - k*twist)**2 along the last axis, k = round(mean(phi - ref)/twist)."""
+    diff = phi - ref
+    if twist:
+        diff -= twist * np.rint(np.mean(diff, axis=-1, keepdims=True) / twist)
+    return np.mean(np.square(diff, out=diff), axis=-1)
 
 
 def _phi_t_centered(state: FieldState, params: ModelParams) -> np.ndarray:
@@ -296,13 +336,9 @@ def _phi_t_centered(state: FieldState, params: ModelParams) -> np.ndarray:
 
 def _phi_x_centered(state: FieldState) -> np.ndarray:
     phi = state.phi
-    px = np.empty_like(phi)
-    px[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * state.dx)
-    if state.boundary is BoundaryMode.TWISTED_PERIODIC:
-        twist = state.twist
-        px[0] = (phi[1] - (phi[-1] - twist)) / (2.0 * state.dx)
-        px[-1] = ((phi[0] + twist) - phi[-2]) / (2.0 * state.dx)
-    else:
+    ghosts = np.concatenate(([phi[-1] - state.twist], phi, [phi[0] + state.twist]))
+    px = (ghosts[2:] - ghosts[:-2]) / (2.0 * state.dx)
+    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
         px[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * state.dx)
         px[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * state.dx)
     return px

@@ -207,6 +207,19 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert max(float(r[1]) for r in rows) > 0.1
 
+    def test_exponent_negatives_space_separated(self, tmp_path):
+        # argparse alone takes "-6.8e-05" for an option and exits 2
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        common = ["--alpha", "0.5", "--gamma", "5e-1", "--branch", "increasing2",
+                  "--domain", "segment", "--n", "128", "--t-end", "2"]
+        assert main(["simulate", *common, "--xi0", "-6.8e-05", "--x-lo", "-2.31e1",
+                     "--x-hi", "2.31e1", "--out", str(spaced)]) == EXIT_OK
+        assert main(["simulate", *common, "--xi0=-6.8e-05", "--x-lo=-23.1",
+                     "--x-hi=23.1", "--out", str(joined)]) == EXIT_OK
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert main(["simulate", *common, "--gamma", "-1.5E+00", "--branch", "kink_array",
+                     "--domain", "circle", "--out", str(spaced)]) == EXIT_OK
+
     def test_config_file_driven(self, tmp_path):
         out = tmp_path / "dev.csv"
         cfg = tmp_path / "sim.cfg"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from sgwaves import (
     winding_number,
     xi_period,
 )
+from sgwaves import pde_sim
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,6 +148,119 @@ class TestStep:
         assert report.final_state.t == 0.0
 
 
+def reference_step(state, params, dt):
+    """The leapfrog update written out whole, as one expression per level."""
+    phi, prev = state.phi, state.phi_prev
+    dd = np.zeros_like(phi)
+    dd[1:-1] = phi[2:] - 2.0 * phi[1:-1] + phi[:-2]
+    if state.boundary is BoundaryMode.TWISTED_PERIODIC:
+        dd[0] = phi[1] - 2.0 * phi[0] + (phi[-1] - state.twist)
+        dd[-1] = (phi[0] + state.twist) - 2.0 * phi[-1] + phi[-2]
+    accel = dd / (state.dx * state.dx) - np.sin(phi) - params.gamma
+    half = 0.5 * params.alpha * dt
+    nxt = (dt * dt * accel + 2.0 * phi - (1.0 - half) * prev) / (1.0 + half)
+    t = state.t + dt
+    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
+        nxt[0] = phi_eval(state.boundary_wave, state.x0, t)
+        nxt[-1] = phi_eval(state.boundary_wave, state.x0 + (state.n - 1) * state.dx, t)
+    if not np.max(np.abs(nxt)) <= pde_sim.BLOWUP_THRESHOLD:
+        raise BlowUp("reference blow-up", t=t)
+    return replace(state, phi=nxt, phi_prev=phi, t=t)
+
+
+def rippled(state, eps=1e-3, mode=2):
+    u = (state.x - state.x0) / state.length
+    ripple = eps * np.sin(TWO_PI * mode * u) * np.sin(math.pi * u) ** 2
+    return replace(state, phi=state.phi + ripple, phi_prev=state.phi_prev + ripple)
+
+
+def perturbed_circle():
+    wave = TravellingWave(ModelParams(0.8, 1.2), WaveBranch.KINK_ARRAY, 0.3, -1)
+    return wave, rippled(init_from_wave(wave, 200, Circle(2)))
+
+
+def perturbed_segment():
+    params = ModelParams(0.5, 0.5)
+    wave = TravellingWave(params, WaveBranch.INCREASING2)
+    half = 40.0 / subcritical_rate(params)
+    return wave, rippled(init_from_wave(wave, 256, Segment(-half, half)))
+
+
+class TestKernel:
+    """evolve and step share one in-place kernel; a loop of steps is the reference."""
+
+    @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
+    def test_step_matches_reference_bit_for_bit(self, make):
+        wave, state = make()
+        ref = state
+        for _ in range(25):
+            state = step(state, wave.params, state.dt)
+            ref = reference_step(ref, wave.params, ref.dt)
+            assert np.array_equal(state.phi, ref.phi)
+            assert np.array_equal(state.phi_prev, ref.phi_prev)
+            assert state.t == ref.t
+
+    @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
+    def test_evolve_matches_step_loop(self, make):
+        wave, state = make()
+        config = SimConfig(dt=state.dt, t_end=60 * state.dt, record_every=7)
+        before = state.phi.copy(), state.phi_prev.copy()
+        report = evolve(state, wave.params, config, reference=wave)
+        assert np.array_equal(state.phi, before[0])
+        assert np.array_equal(state.phi_prev, before[1])
+
+        expected = [comoving_deviation(state, wave) + (state.t,)]
+        for i in range(1, 61):
+            state = step(state, wave.params, state.dt)
+            if i % 7 == 0 or i == 60:
+                expected.append(comoving_deviation(state, wave) + (state.t,))
+        assert report.deviation == [e[0] for e in expected]
+        assert report.best_shift == [e[1] for e in expected]
+        assert report.times == [e[2] for e in expected]
+        final = report.final_state
+        assert final.t == state.t
+        assert np.array_equal(final.phi, state.phi)
+        assert np.array_equal(final.phi_prev, state.phi_prev)
+
+    @pytest.mark.parametrize("poison", [None, math.nan])
+    def test_probe_divergence_matches_step_loop(self, poison):
+        params = ModelParams(1e-3, 1e6)
+        state = uniform_state(value=0.0)
+        if poison is not None:
+            state = replace(state, phi=np.where(np.arange(state.n) == 5, poison, state.phi))
+        config = SimConfig(dt=state.dt, t_end=100.0, record_every=10**9, probe=True)
+        report = evolve(state, params, config)
+        last = state
+        with pytest.raises(BlowUp) as info:
+            for _ in range(10**5):
+                state = step(state, params, state.dt)
+                last = state
+        assert report.diverged_at == info.value.t
+        assert report.final_state.t == last.t
+        assert np.array_equal(report.final_state.phi, last.phi, equal_nan=True)
+
+    def test_final_state_owns_its_arrays(self, monkeypatch):
+        kernels = []
+
+        class Spy(pde_sim._Leapfrog):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        monkeypatch.setattr(pde_sim, "_Leapfrog", Spy)
+        wave, state = perturbed_circle()
+        before = state.phi.copy(), state.phi_prev.copy()
+        config = SimConfig(dt=state.dt, t_end=10 * state.dt, perturbation=Perturbation(1e-3, 3))
+        report = evolve(state, wave.params, config, reference=wave)
+        assert np.array_equal(state.phi, before[0])
+        assert np.array_equal(state.phi_prev, before[1])
+        (kernel,) = kernels
+        final = report.final_state
+        for buffer in (kernel.prev, kernel.cur, kernel.nxt, kernel.two_phi, kernel.tmp):
+            assert not np.shares_memory(final.phi, buffer)
+            assert not np.shares_memory(final.phi_prev, buffer)
+
+
 class TestComovingDeviation:
     def test_self_distance_zero(self):
         wave = kink_array_wave()
@@ -171,6 +286,48 @@ class TestComovingDeviation:
         bumped = replace(state, phi=state.phi + ripple)
         deviation, _ = comoving_deviation(bumped, wave)
         assert eps / 2 <= deviation <= 2 * eps
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("chirality", [1, -1])
+    @pytest.mark.parametrize("fraction", [0.3, 0.49, 0.5 + 0.25 / 256, 0.51, 0.7])
+    def test_translated_wave_on_twisted_circle(self, m, chirality, fraction):
+        # a translation past L/2 wraps, and the wrapped reference is off by the twist
+        wave = TravellingWave(ModelParams(0.5, 1.5), WaveBranch.KINK_ARRAY, 0.2, chirality)
+        state = init_from_wave(wave, 256, Circle(m))
+        s = fraction * state.length
+        moved = replace(state, phi=np.asarray(phi_eval(wave, state.x - s, 0.0)))
+        deviation, shift = comoving_deviation(moved, wave)
+        assert deviation <= 1e-6
+        assert abs(math.remainder(shift - s, state.length)) <= state.dx / 2
+
+    def test_scan_evaluates_2n_minus_1_points(self, monkeypatch):
+        sizes = []
+
+        def counting_phi_eval(wave, x, t):
+            sizes.append(np.size(x))
+            return phi_eval(wave, x, t)
+
+        wave = kink_array_wave()
+        state = init_from_wave(wave, 256, Circle(1))
+        period = xi_period(wave.params)
+        moved = replace(state, phi=np.asarray(phi_eval(wave, state.x - period / 7, 0.0)))
+        monkeypatch.setattr(pde_sim, "phi_eval", counting_phi_eval)
+        comoving_deviation(moved, wave)
+        assert sizes == [2 * 256 - 1, 256]  # the scan, then one parabola refinement
+
+    def test_scan_memory_is_linear(self):
+        n = 16384
+        wave = kink_array_wave()
+        state = init_from_wave(wave, n, Circle(1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            deviation, _ = comoving_deviation(state, wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviation < 1e-12
+        assert peak < 64 * 2**20  # an n x n scan would need 2 GiB here
 
 
 class TestTotalEnergy:
