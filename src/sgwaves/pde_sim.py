@@ -6,7 +6,9 @@ implicitly (one scalar division per point), so the CFL restriction comes
 from the wave part alone.  Domains are either a circle of length m*Xi with
 twisted periodic boundaries phi(x + L) = phi(x) + chirality*2*pi*m, or a
 segment whose end points are pinned to the exact travelling wave at the
-current time.  `step` and `evolve` share one in-place leapfrog kernel.
+current time.  `step` and `evolve` share one in-place leapfrog kernel.  Its
+speed-ups must keep every result bit-identical to the update written out
+whole; `_Leapfrog` states how, and why its blow-up pre-check is exact.
 
 The stability observable is the co-moving deviation: the RMS distance
 between the field and the reference wave minimized over spatial shifts.
@@ -26,6 +28,7 @@ from .errors import BlowUp, DomainError
 from .model import TWO_PI, ModelParams, energy_density, wrap_to
 
 BLOWUP_THRESHOLD = 1e6  # radians; far beyond any physical excursion
+_BLOWUP_SQUARED = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD  # 1e12, exact in float64
 _SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
 
 
@@ -103,10 +106,10 @@ class SimConfig:
     probe: bool = False  # record divergence instead of raising BlowUp
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise DomainError("dt must be positive")
-        if not self.t_end > 0.0:
-            raise DomainError("t_end must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise DomainError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
         if not 0.0 < self.cfl_guard <= 1.0:
             raise DomainError("cfl_guard must lie in (0, 1]")
         if self.record_every < 1:
@@ -173,46 +176,65 @@ class _Leapfrog:
 
     Ghost cells 0 and n+1 hold phi[-1] - twist and phi[0] + twist, so one
     stencil covers every point.  On a segment (twist 0) they feed only the
-    end values, which are then pinned to the exact wave.
+    end values, which are then pinned to the exact wave.  The buffers swap
+    roles each step; each rotation's stencil views are sliced on first use.
+
+    Every result is bit-identical to the update written out whole: the same
+    operations in the same order, on coefficients held as 0-d float64 arrays
+    of the same values, with both pinned ends from one phi_eval call on the
+    pair.  The blow-up guard first tests sum(phi**2) < threshold**2.  Its
+    terms are non-negative and rounding is monotone, so the computed sum is
+    at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
+    and NaN or +-inf never pass.  Only a fail runs the exact max|phi| test.
     """
 
     def __init__(self, state: FieldState, params: ModelParams):
         if state.dt > state.dx:
             raise DomainError(f"CFL violation: dt={state.dt} > dx={state.dx}")
-        self.prev, self.cur, self.nxt = np.empty((3, state.n + 2))
+        # rows rotation, rotation + 1 and rotation + 2 (mod 3) hold t - dt, t and t + dt
+        self.buffers, self.rotation, self.views = np.empty((3, state.n + 2)), 0, [None] * 3
         self.two_phi, self.tmp = np.empty((2, state.n))
-        self.prev[1:-1], self.cur[1:-1] = state.phi_prev, state.phi
         self.twist = state.twist
-        self.cur[0], self.cur[-1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
+        self.buffers[0, 1:-1], self.buffers[1, 1:-1] = state.phi_prev, state.phi
+        self.buffers[1, 0], self.buffers[1, -1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
         half = 0.5 * params.alpha * state.dt
-        self.dx2, self.dt2 = state.dx * state.dx, state.dt * state.dt
-        self.keep, self.gain, self.gamma = 1.0 - half, 1.0 + half, params.gamma
+        self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma = map(np.array, (
+            2.0, state.dx * state.dx, state.dt * state.dt, 1.0 - half, 1.0 + half, params.gamma))
         self.pinned = None
         if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
-            self.pinned = (state.boundary_wave, state.x0, state.x0 + (state.n - 1) * state.dx)
+            ends = np.array([state.x0, state.x0 + (state.n - 1) * state.dx])
+            self.pinned = (state.boundary_wave, ends)
+
+    prev = property(lambda self: self.buffers[self.rotation])
+    cur = property(lambda self: self.buffers[(self.rotation + 1) % 3])
+    nxt = property(lambda self: self.buffers[(self.rotation + 2) % 3])
+
+    def _bind(self, r: int) -> tuple:
+        prev, cur, nxt = (self.buffers[(r + k) % 3] for k in range(3))
+        self.views[r] = nxt, cur[1:-1], cur[2:], cur[:-2], prev[1:-1], nxt[1:-1]
+        return self.views[r]
 
     def advance(self, t_next: float) -> None:
         """Write phi(t_next) into the spare buffer, check it, rotate; BlowUp keeps the last levels."""
-        cur, two_phi, tmp = self.cur, self.two_phi, self.tmp
-        phi, out = cur[1:-1], self.nxt[1:-1]
+        nxt, phi, right, left, prev, out = self.views[self.rotation] or self._bind(self.rotation)
+        two_phi, tmp = self.two_phi, self.tmp
         # (dt*dt*(phi_xx - sin(phi) - gamma) + 2*phi - keep*phi_prev) / gain, in this order
-        np.multiply(2.0, phi, out=two_phi)
-        np.subtract(cur[2:], two_phi, out=out)
-        np.add(out, cur[:-2], out=out)
-        np.divide(out, self.dx2, out=out)
-        np.subtract(out, np.sin(phi, out=tmp), out=out)
-        np.subtract(out, self.gamma, out=out)
-        np.multiply(self.dt2, out, out=out)
-        np.add(out, two_phi, out=out)
-        np.subtract(out, np.multiply(self.keep, self.prev[1:-1], out=tmp), out=out)
-        np.divide(out, self.gain, out=out)
+        np.multiply(self.two, phi, two_phi)
+        np.subtract(right, two_phi, out)
+        np.add(out, left, out)
+        np.divide(out, self.dx2, out)
+        np.subtract(out, np.sin(phi, tmp), out)
+        np.subtract(out, self.gamma, out)
+        np.multiply(self.dt2, out, out)
+        np.add(out, two_phi, out)
+        np.subtract(out, np.multiply(self.keep, prev, tmp), out)
+        np.divide(out, self.gain, out)
         if self.pinned is not None:
-            wave, x_lo, x_hi = self.pinned
-            out[0], out[-1] = phi_eval(wave, x_lo, t_next), phi_eval(wave, x_hi, t_next)
-        if not np.abs(out, out=tmp).max() <= BLOWUP_THRESHOLD:  # also catches NaN
+            out[0], out[-1] = phi_eval(*self.pinned, t_next)
+        if not np.dot(out, out) < _BLOWUP_SQUARED and not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
             raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
-        self.nxt[0], self.nxt[-1] = out[-1] - self.twist, out[0] + self.twist
-        self.prev, self.cur, self.nxt = cur, self.nxt, self.prev
+        nxt[0], nxt[-1] = out[-1] - self.twist, out[0] + self.twist
+        self.rotation = (self.rotation + 1) % 3
 
     def state(self, like: FieldState, t: float) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
@@ -225,7 +247,7 @@ def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
         raise DomainError("dt must match the state's leapfrog spacing")
     kernel = _Leapfrog(state, params)
     kernel.advance(state.t + dt)
-    return kernel.state(state, state.t + dt)
+    return replace(state, phi=kernel.cur[1:-1].copy(), phi_prev=state.phi, t=state.t + dt)
 
 
 def _perturbation_profile(state: FieldState, pert: Perturbation) -> np.ndarray:

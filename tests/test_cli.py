@@ -220,6 +220,14 @@ class TestSimulate:
         assert main(["simulate", *common, "--gamma", "-1.5E+00", "--branch", "kink_array",
                      "--domain", "circle", "--out", str(spaced)]) == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity"])
+    def test_infinite_t_end_exits_2(self, tmp_path, value):
+        # an unbounded run used to reach math.ceil(inf) and end in a traceback
+        args = self.args(tmp_path / "dev.csv")
+        args[args.index("--t-end") + 1] = value
+        assert main(args) == EXIT_INVALID
+        assert not (tmp_path / "dev.csv").exists()
+
     def test_config_file_driven(self, tmp_path):
         out = tmp_path / "dev.csv"
         cfg = tmp_path / "sim.cfg"

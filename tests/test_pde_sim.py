@@ -261,6 +261,96 @@ class TestKernel:
             assert not np.shares_memory(final.phi_prev, buffer)
 
 
+    def test_pinned_pair_matches_scalar_calls(self):
+        # the kernel pins both segment ends with one phi_eval call on a pair
+        rng = np.random.default_rng(11)
+        gammas = {
+            WaveBranch.DECREASING1: lambda: rng.uniform(0.01, 0.99),
+            WaveBranch.INCREASING2: lambda: rng.uniform(0.01, 0.99),
+            WaveBranch.CRITICAL_KINK: lambda: 1.0,
+            WaveBranch.KINK_ARRAY: lambda: rng.uniform(1.01, 3.0),
+            WaveBranch.PURE_SG_DECREASING: lambda: 0.0,
+            WaveBranch.PURE_SG_INCREASING: lambda: 0.0,
+        }
+        for branch, gamma in gammas.items():
+            for _ in range(200):
+                params = ModelParams(rng.uniform(0.2, 2.0), gamma())
+                wave = TravellingWave(params, branch, rng.uniform(-5, 5), int(rng.choice([-1, 1])))
+                lo = rng.uniform(-60.0, 0.0)
+                hi, t = lo + rng.uniform(1.0, 80.0), rng.uniform(0.0, 50.0)
+                pair = phi_eval(wave, np.array([lo, hi]), t)
+                assert np.array_equal(pair, [phi_eval(wave, lo, t), phi_eval(wave, hi, t)])
+
+
+def stepping_to(values, params, dt=0.09):
+    """A zero state whose next leapfrog level is exactly `values`.
+
+    With phi = 0 and gamma = 0 the update is -(keep*prev)/gain point by
+    point, so each phi_prev entry is found by stepping it one ulp at a time.
+    """
+    half = 0.5 * params.alpha * dt
+    prev = -np.asarray(values, dtype=float) * (1.0 + half) / (1.0 - half)
+    for i, target in enumerate(values):
+        for _ in range(100):
+            got = (0.0 - (1.0 - half) * prev[i]) / (1.0 + half)
+            if got == target or not math.isfinite(target):
+                break
+            prev[i] = np.nextafter(prev[i], -math.inf if got < target else math.inf)
+        else:
+            raise AssertionError(f"no phi_prev steps to {target!r}")
+    return replace(uniform_state(n=len(values), dt=dt), phi_prev=prev)
+
+
+def guard_cases():
+    n, big = 64, pde_sim.BLOWUP_THRESHOLD
+    just_over = np.zeros(n)
+    just_over[9] = np.nextafter(big, math.inf)
+    at_limit = np.where(np.arange(n) % 2 == 0, big, -big)
+    cases = {"just_over": just_over, "minus_just_over": -just_over, "all_at_limit": at_limit}
+    for name, bad in (("nan", math.nan), ("plus_inf", math.inf), ("minus_inf", -math.inf)):
+        cases[name] = np.where(np.arange(n) == 9, bad, 0.0)
+    return cases
+
+
+class TestBlowUpGuard:
+    """The sum-of-squares pre-check leaves the guard's meaning exact: max|phi| <= 1e6."""
+
+    params = ModelParams(0.1, 0.0)
+
+    @pytest.mark.parametrize("name", guard_cases())
+    def test_step_edges(self, name):
+        values = guard_cases()[name]
+        state = stepping_to(values, self.params)
+        if name == "all_at_limit":
+            assert np.dot(values, values) >= pde_sim.BLOWUP_THRESHOLD ** 2  # the exact fallback runs
+            new = step(state, self.params, state.dt)
+            assert np.array_equal(new.phi, values)
+            assert np.array_equal(new.phi, reference_step(state, self.params, state.dt).phi)
+            return
+        with pytest.raises(BlowUp) as info:
+            step(state, self.params, state.dt)
+        with pytest.raises(BlowUp) as ref:
+            reference_step(state, self.params, state.dt)
+        assert info.value.t == ref.value.t == state.dt
+
+    @pytest.mark.parametrize("name", guard_cases())
+    def test_probe_evolve_edges(self, name):
+        state = stepping_to(guard_cases()[name], self.params)
+        config = SimConfig(dt=state.dt, t_end=5 * state.dt, probe=True)
+        report = evolve(state, self.params, config)
+        last, diverged_at = state, None
+        try:
+            for _ in range(5):
+                last = reference_step(last, self.params, last.dt)
+        except BlowUp as exc:
+            diverged_at = exc.t
+        assert diverged_at is not None  # at the first step, or the one after +-1e6
+        assert report.diverged_at == diverged_at
+        assert report.final_state.t == last.t
+        assert np.array_equal(report.final_state.phi, last.phi)
+        assert np.array_equal(report.final_state.phi_prev, last.phi_prev, equal_nan=True)
+
+
 class TestComovingDeviation:
     def test_self_distance_zero(self):
         wave = kink_array_wave()
