@@ -314,15 +314,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     n = _as_int(settings, "n", 256)
     cfl_guard = _as_float(settings, "cfl_guard", 0.9)
-    if isinstance(domain, Circle):
-        dx = domain.m * closed_form.xi_period(wave.params) / n
-    else:
-        dx = (domain.x_hi - domain.x_lo) / (n - 1)
+    dx = pde_sim.domain_grid(wave, n, domain)[1]
     dt = _as_float(settings, "dt", cfl_guard * dx)
     state = pde_sim.init_from_wave(wave, n, domain, dt=dt)
 
     eps = _as_float(settings, "eps", 0.0)
-    pert = Perturbation(eps, _as_int(settings, "mode", 1)) if eps > 0.0 else None
+    pert = Perturbation(eps, _as_int(settings, "mode", 1)) if eps != 0.0 else None
     config = SimConfig(
         dt=dt,
         t_end=_as_float(settings, "t_end"),

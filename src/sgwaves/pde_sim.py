@@ -6,7 +6,8 @@ implicitly (one scalar division per point), so the CFL restriction comes
 from the wave part alone.  Domains are either a circle of length m*Xi with
 twisted periodic boundaries phi(x + L) = phi(x) + chirality*2*pi*m, or a
 segment whose end points are pinned to the exact travelling wave at the
-current time.  `step` and `evolve` share one in-place leapfrog kernel.  Its
+current time; `domain_grid` is the one place that turns either into a
+grid.  `step` and `evolve` share one in-place leapfrog kernel.  Its
 speed-ups must keep every result bit-identical to the update written out
 whole; `_Leapfrog` states how, and why its blow-up pre-check is exact.
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,11 +30,6 @@ from .model import TWO_PI, ModelParams, energy_density, wrap_to
 BLOWUP_THRESHOLD = 1e6  # radians; far beyond any physical excursion
 _BLOWUP_SQUARED = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD  # 1e12, exact in float64
 _SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
-
-
-class BoundaryMode(Enum):
-    TWISTED_PERIODIC = "twisted_periodic"
-    DIRICHLET_FROM_WAVE = "dirichlet_from_wave"
 
 
 @dataclass(frozen=True)
@@ -52,34 +47,35 @@ class Segment:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Discretized (phi, phi at t - dt) plus the grid and boundary metadata."""
+    """phi and phi at t - dt on the grid x0 + i*dx, with the boundary rule.
 
-    n: int
+    With pinned None the grid is a circle of n*dx and the field jumps by
+    twist across the seam: phi(x + n*dx) = phi(x) + twist.  With a pinned
+    wave the grid is a segment whose two end points follow that wave
+    exactly; a pinned state has twist 0.
+    """
+
     dx: float
     phi: np.ndarray
     phi_prev: np.ndarray
     t: float
-    winding: int
-    boundary: BoundaryMode
-    chirality: int
-    x0: float
     dt: float
-    boundary_wave: TravellingWave | None = None
+    x0: float = 0.0
+    twist: float = 0.0
+    pinned: TravellingWave | None = None
+
+    @property
+    def n(self) -> int:
+        return self.phi.size
 
     @property
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 
     @property
-    def twist(self) -> float:
-        return self.chirality * TWO_PI * self.winding
-
-    @property
     def length(self) -> float:
         """Domain extent: n*dx on a circle, (n-1)*dx on a segment."""
-        if self.boundary is BoundaryMode.TWISTED_PERIODIC:
-            return self.n * self.dx
-        return (self.n - 1) * self.dx
+        return (self.n - 1) * self.dx if self.pinned is not None else self.n * self.dx
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ class Perturbation:
     mode: int
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise DomainError("perturbation amplitude must be >= 0")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise DomainError(f"perturbation amplitude must be finite and >= 0: {self.amplitude}")
         if self.mode < 1:
             raise DomainError("perturbation mode number must be >= 1")
 
@@ -127,11 +123,11 @@ class DeviationReport:
     final_state: FieldState | None = None
 
 
-def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None) -> FieldState:
-    """Sample a wave at t = 0 (and t = -dt into phi_prev) on the given domain.
+def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
+    """(x0, dx, twist, pinned) of an n-point grid for the wave on the domain.
 
-    dt defaults to 0.9*dx.  phi_prev is sampled from the exact wave, so the
-    initial data carry no start-up error.
+    Circle(m): x0 = 0, dx = m*Xi/n and twist chirality*2*pi*m.  Segment:
+    x0 = x_lo, dx = (x_hi - x_lo)/(n - 1) and the ends pinned to the wave.
     """
     if n < 64:
         raise DomainError(f"grid must have n >= 64 points, got {n}")
@@ -140,23 +136,21 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
             raise DomainError("circle winding m must be >= 1")
         if wave.params.gamma <= 1.0:
             raise DomainError("circle domains need gamma > 1 (period undefined otherwise)")
-        length = domain.m * xi_period(wave.params)
-        dx = length / n
-        x0 = 0.0
-        winding = domain.m
-        boundary = BoundaryMode.TWISTED_PERIODIC
-        boundary_wave = None
-    elif isinstance(domain, Segment):
-        if not domain.x_hi > domain.x_lo:
-            raise DomainError("segment needs x_hi > x_lo")
-        dx = (domain.x_hi - domain.x_lo) / (n - 1)
-        x0 = domain.x_lo
-        winding = 0
-        boundary = BoundaryMode.DIRICHLET_FROM_WAVE
-        boundary_wave = wave
-    else:
-        raise DomainError(f"unknown domain type {type(domain).__name__}")
+        return 0.0, domain.m * xi_period(wave.params) / n, wave.chirality * TWO_PI * domain.m, None
+    if isinstance(domain, Segment):
+        if not (domain.x_hi > domain.x_lo and math.isfinite(domain.x_hi - domain.x_lo)):
+            raise DomainError(f"segment needs finite x_lo < x_hi, got {domain}")
+        return domain.x_lo, (domain.x_hi - domain.x_lo) / (n - 1), 0.0, wave
+    raise DomainError(f"unknown domain type {type(domain).__name__}")
 
+
+def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None) -> FieldState:
+    """Sample a wave at t = 0 (and t = -dt into phi_prev) on the given domain.
+
+    dt defaults to 0.9*dx.  phi_prev is sampled from the exact wave, so the
+    initial data carry no start-up error.
+    """
+    x0, dx, twist, pinned = domain_grid(wave, n, domain)
     if dt is None:
         dt = 0.9 * dx
     if not 0.0 < dt <= dx:
@@ -164,11 +158,8 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
     x = x0 + dx * np.arange(n)
     phi = np.asarray(phi_eval(wave, x, 0.0), dtype=float)
     phi_prev = np.asarray(phi_eval(wave, x, -dt), dtype=float)
-    return FieldState(
-        n=n, dx=dx, phi=phi, phi_prev=phi_prev, t=0.0, winding=winding,
-        boundary=boundary, chirality=wave.chirality, x0=x0, dt=dt,
-        boundary_wave=boundary_wave,
-    )
+    return FieldState(dx=dx, phi=phi, phi_prev=phi_prev, t=0.0, dt=dt,
+                      x0=x0, twist=twist, pinned=pinned)
 
 
 class _Leapfrog:
@@ -201,9 +192,8 @@ class _Leapfrog:
         self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma = map(np.array, (
             2.0, state.dx * state.dx, state.dt * state.dt, 1.0 - half, 1.0 + half, params.gamma))
         self.pinned = None
-        if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
-            ends = np.array([state.x0, state.x0 + (state.n - 1) * state.dx])
-            self.pinned = (state.boundary_wave, ends)
+        if state.pinned is not None:
+            self.pinned = (state.pinned, np.array([state.x0, state.x0 + (state.n - 1) * state.dx]))
 
     prev = property(lambda self: self.buffers[self.rotation])
     cur = property(lambda self: self.buffers[(self.rotation + 1) % 3])
@@ -253,7 +243,7 @@ def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
 def _perturbation_profile(state: FieldState, pert: Perturbation) -> np.ndarray:
     u = (state.x - state.x0) / state.length
     wave = np.sin(TWO_PI * pert.mode * u)
-    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
+    if state.pinned is not None:
         wave *= 0.5 * (1.0 - np.cos(TWO_PI * u))  # Hann window keeps the ends pinned
     return pert.amplitude * wave
 
@@ -328,7 +318,7 @@ def comoving_deviation(state: FieldState, reference: TravellingWave) -> tuple[fl
                          for j in range(0, n, block)])
     j = int(np.argmin(d2))
     s_best = (j - n // 2) * state.dx
-    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE and j in (0, n - 1):
+    if state.pinned is not None and j in (0, n - 1):
         return float(math.sqrt(d2[j])), s_best
     jm, jp = (j - 1) % n, (j + 1) % n
     denom = d2[jm] - 2.0 * d2[j] + d2[jp]
@@ -360,7 +350,7 @@ def _phi_x_centered(state: FieldState) -> np.ndarray:
     phi = state.phi
     ghosts = np.concatenate(([phi[-1] - state.twist], phi, [phi[0] + state.twist]))
     px = (ghosts[2:] - ghosts[:-2]) / (2.0 * state.dx)
-    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
+    if state.pinned is not None:
         px[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * state.dx)
         px[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * state.dx)
     return px
@@ -375,7 +365,7 @@ def total_energy(state: FieldState, params: ModelParams) -> float:
     phi_t = _phi_t_centered(state, params)
     phi_x = _phi_x_centered(state)
     h = energy_density(state.phi, phi_t, phi_x, params.gamma)
-    if state.boundary is BoundaryMode.TWISTED_PERIODIC:
+    if state.pinned is None:
         return float(state.dx * np.sum(h))
     return float(state.dx * (0.5 * h[0] + np.sum(h[1:-1]) + 0.5 * h[-1]))
 
@@ -386,7 +376,7 @@ def winding_number(state: FieldState) -> float:
     Equals chirality * m while the field stays in its topological sector;
     a 2*pi slip anywhere on the grid changes it by a whole unit.
     """
-    if state.boundary is not BoundaryMode.TWISTED_PERIODIC:
+    if state.pinned is not None:
         raise DomainError("winding is defined on twisted periodic domains only")
     inc = wrap_to(np.diff(state.phi), 0.0)
     closing = wrap_to(state.phi[0] + state.twist - state.phi[-1], 0.0)

@@ -228,6 +228,23 @@ class TestSimulate:
         assert main(args) == EXIT_INVALID
         assert not (tmp_path / "dev.csv").exists()
 
+    @pytest.mark.parametrize("run", [
+        ["--gamma", "1.5", "--branch", "kink_array", "--domain", "circle", "--n", "0"],
+        ["--gamma", "0.5", "--branch", "decreasing1", "--domain", "segment",
+         "--x-lo", "0", "--x-hi", "10", "--n", "1"],
+    ])
+    def test_tiny_grid_exits_2(self, tmp_path, run):
+        # the default dt used to come from cli's own dx formula, which divided by zero
+        out = tmp_path / "dev.csv"
+        assert main(["simulate", "--alpha", "0.5", "--t-end", "1", "--out", str(out), *run]) == EXIT_INVALID
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["-1e-3", "nan", "inf"])
+    def test_bad_eps_exits_2(self, tmp_path, eps):
+        # a bad amplitude used to be dropped silently and the run went unperturbed
+        assert main(self.args(tmp_path / "dev.csv", ["--eps", eps, "--mode", "2"])) == EXIT_INVALID
+        assert not (tmp_path / "dev.csv").exists()
+
     def test_config_file_driven(self, tmp_path):
         out = tmp_path / "dev.csv"
         cfg = tmp_path / "sim.cfg"

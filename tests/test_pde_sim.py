@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgwaves import (
     BlowUp,
-    BoundaryMode,
     Circle,
     DomainError,
     FieldState,
@@ -41,10 +42,7 @@ def kink_array_wave(alpha=0.5, gamma=1.5):
 def uniform_state(n=64, dx=0.1, value=0.0, dt=None, phi_t=0.0):
     dt = 0.9 * dx if dt is None else dt
     phi = np.full(n, float(value))
-    return FieldState(
-        n=n, dx=dx, phi=phi, phi_prev=phi - dt * phi_t, t=0.0, winding=0,
-        boundary=BoundaryMode.TWISTED_PERIODIC, chirality=1, x0=0.0, dt=dt,
-    )
+    return FieldState(dx=dx, phi=phi, phi_prev=phi - dt * phi_t, t=0.0, dt=dt)
 
 
 class TestInitFromWave:
@@ -81,9 +79,53 @@ class TestInitFromWave:
         expected = phi_eval(wave, state.x, -0.005)
         assert np.array_equal(state.phi_prev, np.asarray(expected))
 
+    @pytest.mark.parametrize("ends", [(-20.0, math.inf), (-math.inf, 20.0), (-1e308, 1e308),
+                                      (math.nan, 20.0), (20.0, 20.0)])
+    def test_segment_needs_finite_extent(self, ends):
+        # an infinite or overflowing x_hi - x_lo used to give a grid of NaN points
+        wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.DECREASING1)
+        with pytest.raises(DomainError):
+            init_from_wave(wave, 64, Segment(*ends))
+
     def test_minimum_grid(self):
         with pytest.raises(DomainError):
             init_from_wave(kink_array_wave(), 32, Circle(1))
+
+
+GEOMETRY_SETTINGS = settings(deadline=None, derandomize=True, database=None, max_examples=40)
+alphas, xi0s, chiralities = st.floats(0.2, 2.0), st.floats(-10.0, 10.0), st.sampled_from([1, -1])
+grid_sizes = st.integers(64, 300)
+
+
+class TestGeometry:
+    """domain_grid is the one source of a grid: spacing, twist and pinned ends."""
+
+    @GEOMETRY_SETTINGS
+    @given(alpha=alphas, gamma=st.floats(1.05, 4.0), xi0=xi0s, chirality=chiralities,
+           m=st.integers(1, 3), n=grid_sizes)
+    def test_circle(self, alpha, gamma, xi0, chirality, m, n):
+        wave = TravellingWave(ModelParams(alpha, gamma), WaveBranch.KINK_ARRAY, xi0, chirality)
+        state = init_from_wave(wave, n, Circle(m))
+        assert state.n == n and state.pinned is None and state.x[0] == 0.0
+        assert state.twist == chirality * TWO_PI * m
+        assert state.length == pytest.approx(m * xi_period(wave.params), rel=1e-13)
+        assert winding_number(state) == pytest.approx(chirality * m, abs=1e-9)
+
+    @GEOMETRY_SETTINGS
+    @given(alpha=alphas, gamma=st.floats(0.05, 0.95), xi0=xi0s, chirality=chiralities,
+           branch=st.sampled_from([WaveBranch.DECREASING1, WaveBranch.INCREASING2]),
+           x_lo=st.floats(-40.0, 10.0), width=st.floats(1.0, 60.0), n=grid_sizes)
+    def test_segment(self, alpha, gamma, xi0, chirality, branch, x_lo, width, n):
+        wave = TravellingWave(ModelParams(alpha, gamma), branch, xi0, chirality)
+        x_hi = x_lo + width
+        state = init_from_wave(wave, n, Segment(x_lo, x_hi))
+        assert state.n == n and state.pinned is wave and state.twist == 0.0
+        assert state.x[0] == x_lo
+        assert state.x0 + state.length == pytest.approx(x_hi, rel=1e-13, abs=1e-13)
+        # both ends follow the wave at x_lo and x_hi, at t = 0 and after a step
+        for level in (state, step(state, wave.params, state.dt)):
+            ends = phi_eval(wave, np.array([x_lo, x_hi]), level.t)
+            assert level.phi[[0, -1]] == pytest.approx(ends, rel=1e-12, abs=1e-12)
 
 
 class TestStep:
@@ -153,16 +195,16 @@ def reference_step(state, params, dt):
     phi, prev = state.phi, state.phi_prev
     dd = np.zeros_like(phi)
     dd[1:-1] = phi[2:] - 2.0 * phi[1:-1] + phi[:-2]
-    if state.boundary is BoundaryMode.TWISTED_PERIODIC:
+    if state.pinned is None:
         dd[0] = phi[1] - 2.0 * phi[0] + (phi[-1] - state.twist)
         dd[-1] = (phi[0] + state.twist) - 2.0 * phi[-1] + phi[-2]
     accel = dd / (state.dx * state.dx) - np.sin(phi) - params.gamma
     half = 0.5 * params.alpha * dt
     nxt = (dt * dt * accel + 2.0 * phi - (1.0 - half) * prev) / (1.0 + half)
     t = state.t + dt
-    if state.boundary is BoundaryMode.DIRICHLET_FROM_WAVE:
-        nxt[0] = phi_eval(state.boundary_wave, state.x0, t)
-        nxt[-1] = phi_eval(state.boundary_wave, state.x0 + (state.n - 1) * state.dx, t)
+    if state.pinned is not None:
+        nxt[0] = phi_eval(state.pinned, state.x0, t)
+        nxt[-1] = phi_eval(state.pinned, state.x0 + (state.n - 1) * state.dx, t)
     if not np.max(np.abs(nxt)) <= pde_sim.BLOWUP_THRESHOLD:
         raise BlowUp("reference blow-up", t=t)
     return replace(state, phi=nxt, phi_prev=phi, t=t)
@@ -433,10 +475,7 @@ class TestTotalEnergy:
         # second-order backward level: phi_tt(0) = -sin(0) - gamma - alpha*c
         phi = np.zeros(n)
         phi_prev = phi - dt * c + 0.5 * dt * dt * (-alpha * c)
-        state = FieldState(
-            n=n, dx=dx, phi=phi, phi_prev=phi_prev, t=0.0, winding=0,
-            boundary=BoundaryMode.TWISTED_PERIODIC, chirality=1, x0=0.0, dt=dt,
-        )
+        state = FieldState(dx=dx, phi=phi, phi_prev=phi_prev, t=0.0, dt=dt)
         energy = total_energy(state, ModelParams(alpha, 0.0))
         assert energy == pytest.approx(1.0 * (c * c / 2.0 - 1.0), abs=1e-6)
 
@@ -562,8 +601,9 @@ class TestSimConfigValidation:
             SimConfig(dt=0.1, t_end=1.0, cfl_guard=1.5)
         with pytest.raises(DomainError):
             SimConfig(dt=0.1, t_end=1.0, record_every=0)
-        with pytest.raises(DomainError):
-            Perturbation(-1.0, 1)
+        for amplitude in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                Perturbation(amplitude, 1)
         with pytest.raises(DomainError):
             Perturbation(1e-3, 0)
 
