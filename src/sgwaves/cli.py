@@ -305,6 +305,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _need(settings, "out")
 
     domain_kind = settings.get("domain", "circle")
+    # a setting of the other domain is a mistyped run, not one to ignore
+    for key in {"circle": ("x_lo", "x_hi"), "segment": ("m",)}.get(domain_kind, ()):
+        if key in settings:
+            raise DomainError(f"setting '{key}' does not apply to a {domain_kind} domain")
     if domain_kind == "circle":
         domain = Circle(_as_int(settings, "m", 1))
     elif domain_kind == "segment":

@@ -152,12 +152,19 @@ def F_map(y):
     return F if arr.ndim else float(F)
 
 
-def _riccati(wave: TravellingWave, d):
+def _riccati(wave: TravellingWave, d, y):
     """Window-free y at d = xi - xi0 and the number of poles of y left of xi.
 
     Both come from one phase variable, so they agree on which side of a
     pole d lies: round(u) on the kink array, and on increasing2 and
     critical_kink the sign bit of den in y = c + k/den (k > 0).
+
+    y is a float array of d's shape that the caller owns and gives up: each
+    step of the branch formula writes into it in place, and it is returned.
+    It may be d itself; d is otherwise only read, so a caller that reads d
+    again passes a fresh y.  The steps are the same floating-point
+    operations in the same order as the out-of-place formula, so y is the
+    same bit for bit.
     """
     p = wave.params
     branch = wave.branch
@@ -166,27 +173,30 @@ def _riccati(wave: TravellingWave, d):
     turns = 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if branch is WaveBranch.KINK_ARRAY:
-            u = d / xi_period(p)
+            u = np.divide(d, xi_period(p), y)
             turns = np.round(u)
             c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
-            y = -1.0 / p.gamma + c * np.tan(math.pi * (u - turns))
-        elif branch is WaveBranch.PURE_SG_DECREASING:
-            y = -np.exp(d / p.alpha)
-        elif branch is WaveBranch.PURE_SG_INCREASING:
-            y = np.exp(d / p.alpha)
+            np.multiply(math.pi, np.subtract(u, turns, y), y)
+            np.add(-1.0 / p.gamma, np.multiply(c, np.tan(y, y), y), y)
+        elif branch in (WaveBranch.PURE_SG_DECREASING, WaveBranch.PURE_SG_INCREASING):
+            np.exp(np.divide(d, p.alpha, y), y)
+            if branch is WaveBranch.PURE_SG_DECREASING:
+                np.negative(y, y)
         elif branch is WaveBranch.DECREASING1:
             fp = y_fixed_points(p)
-            y = fp.y_minus + (fp.y_plus - fp.y_minus) / (1.0 + np.exp(subcritical_rate(p) * d))
+            np.add(1.0, np.exp(np.multiply(subcritical_rate(p), d, y), y), y)
+            np.add(fp.y_minus, np.divide(fp.y_plus - fp.y_minus, y, y), y)
         else:
             if branch is WaveBranch.CRITICAL_KINK:
-                c, k, den = -1.0, 2.0 * p.alpha, -d
+                c, k = -1.0, 2.0 * p.alpha
+                den = np.negative(d, y)
             else:
                 fp = y_fixed_points(p)
                 c, k = fp.y_minus, fp.y_plus - fp.y_minus
                 # expm1 keeps y accurate next to the pole, where 1 - exp(A*d) cancels
-                den = -np.expm1(subcritical_rate(p) * d)
-            y = c + k / den
+                den = np.negative(np.expm1(np.multiply(subcritical_rate(p), d, y), y), y)
             turns = np.signbit(den)  # den = -0.0 at d = +0.0, where y = -inf
+            np.add(c, np.divide(k, den, y), y)
     return y, turns
 
 
@@ -201,7 +211,7 @@ def y_eval(wave: TravellingWave, xi):
     p = wave.params
     arr = np.asarray(xi, dtype=float)
     d = arr - wave.xi0
-    y, _ = _riccati(wave, d)
+    y, _ = _riccati(wave, d, np.empty(arr.shape))
     pole_offset = d
     if wave.branch is WaveBranch.KINK_ARRAY:
         period = xi_period(p)
@@ -226,8 +236,10 @@ def g_eval(wave: TravellingWave, xi):
     y, so g is smooth through every pole: no window, no limit override.
     """
     arr = np.asarray(xi, dtype=float)
-    y, turns = _riccati(wave, arr - wave.xi0)
-    g = math.pi + 2.0 * np.arctan(y) + TWO_PI * turns
+    d = np.subtract(arr, wave.xi0, np.empty(arr.shape))
+    g, turns = _riccati(wave, d, d)
+    np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
+    np.add(g, TWO_PI * turns, g)
     return g if arr.ndim else float(g)
 
 

@@ -7,12 +7,20 @@ integral is done by adaptive Gauss-Kronrod bisection, and the field
 equation residual is measured with 5-point finite-difference stencils on
 phi_eval.  Agreement between these routes and the closed forms is what the
 test suite asserts.
+
+The RK4 loops are written out stage by stage, with no call per stage.  Each
+stage does the same floating-point operations in the same order as a step
+through a separate rhs function, so the samples are the same bit for bit;
+tests/test_oracles.py keeps that per-stage form as the reference.  Each pass
+appends its samples to array('d') buffers of its own and returns numpy views
+of them, which no later pass writes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +44,7 @@ class OdeSolution:
     ys: np.ndarray
     step_used: float
     pole_events: list[float] = field(default_factory=list)
+    rk4_steps: int = 0   # RK4 steps over every refinement pass
 
 
 def _check_span(xi_span, tol):
@@ -47,19 +56,21 @@ def _check_span(xi_span, tol):
     return lo, hi
 
 
-def _rk4_scalar(rhs, x0: float, y0: float, n: int, h: float) -> np.ndarray:
-    ys = np.empty(n + 1)
-    ys[0] = y = y0
-    x = x0
-    for i in range(n):
-        k1 = rhs(x, y)
-        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(x + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = x0 + (i + 1) * h
-        ys[i + 1] = y
-    return ys
+def _rk4_g(alpha: float, gamma: float, g0: float, n: int, h: float):
+    """n fixed RK4 steps of alpha*g' = gamma - sin(g); the n + 1 samples of g."""
+    sin = math.sin
+    hh = 0.5 * h
+    h6 = h / 6.0
+    g = float(g0)
+    gs = array("d", (g,))
+    for _ in range(n):
+        k1 = (gamma - sin(g)) / alpha
+        k2 = (gamma - sin(g + hh * k1)) / alpha
+        k3 = (gamma - sin(g + hh * k2)) / alpha
+        k4 = (gamma - sin(g + h * k3)) / alpha
+        g = g + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        gs.append(g)
+    return np.frombuffer(gs)
 
 
 def ode_solve_g(
@@ -76,18 +87,16 @@ def ode_solve_g(
     """
     lo, hi = _check_span(xi_span, tol)
     alpha, gamma = params.alpha, params.gamma
-
-    def rhs(_x, g):
-        return (gamma - math.sin(g)) / alpha
-
     n = max(16, int(math.ceil((hi - lo) * 4.0)))
-    prev = _rk4_scalar(rhs, lo, g0, n, (hi - lo) / n)
+    prev = _rk4_g(alpha, gamma, g0, n, (hi - lo) / n)
+    steps = n
     for _ in range(max_halvings):
         n *= 2
         h = (hi - lo) / n
-        cur = _rk4_scalar(rhs, lo, g0, n, h)
+        cur = _rk4_g(alpha, gamma, g0, n, h)
+        steps += n
         if np.max(np.abs(cur[::2] - prev)) < tol:
-            return OdeSolution(lo + h * np.arange(n + 1), cur, h)
+            return OdeSolution(lo + h * np.arange(n + 1), cur, h, rk4_steps=steps)
         prev = cur
     raise NoConvergence(f"RK4 for g did not converge to tol={tol} in {max_halvings} halvings")
 
@@ -103,45 +112,39 @@ def _integrate_riccati(params: ModelParams, y0: float, lo: float, hi: float, n: 
     """
     alpha, gamma = params.alpha, params.gamma
     h = (hi - lo) / n
-
-    def rhs_y(v):
-        return (2.0 * v + gamma * (1.0 + v * v)) / (2.0 * alpha)
-
-    def rhs_z(v):
-        return (gamma * (1.0 + v * v) - 2.0 * v) / (2.0 * alpha)
-
+    hh, h6, a2 = 0.5 * h, h / 6.0, 2.0 * alpha
+    atan, inf = math.atan, math.inf
+    y0 = float(y0)
     in_y = abs(y0) <= _CHART_SWAP
     v = y0 if in_y else -1.0 / y0
-    angles = np.empty(n + 1)
-    ys = np.empty(n + 1)
+    # the linear term is +2*y on the y chart and -2*z on the z chart; since
+    # a - b is a + (-b), s*v + gamma*(1 + v*v) is the z-chart rhs bit for bit
+    s = 2.0 if in_y else -2.0
+    ys, angles = array("d"), array("d")
     poles: list[float] = []
-
-    def record(i, v, in_y):
-        if in_y:
-            ys[i] = v
-            angles[i] = math.atan(v)
-        else:
-            ys[i] = math.inf if v == 0.0 else -1.0 / v
-            angles[i] = math.copysign(0.5 * math.pi, ys[i]) if v == 0.0 else math.atan(ys[i])
-
-    record(0, v, in_y)
-    for i in range(n):
-        x = lo + i * h
-        f = rhs_y if in_y else rhs_z
-        k1 = f(v)
-        k2 = f(v + 0.5 * h * k1)
-        k3 = f(v + 0.5 * h * k2)
-        k4 = f(v + h * k3)
-        v_new = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not in_y and (v <= 0.0 < v_new or v_new <= 0.0 < v):
+    for i in range(n + 1):
+        # sample i; at z == 0, y is +inf and atan(y) is pi/2
+        y = v if s > 0.0 else inf if v == 0.0 else -1.0 / v
+        ys.append(y)
+        angles.append(atan(y))
+        if i == n:
+            break
+        k1 = (s * v + gamma * (1.0 + v * v)) / a2
+        w = v + hh * k1
+        k2 = (s * w + gamma * (1.0 + w * w)) / a2
+        w = v + hh * k2
+        k3 = (s * w + gamma * (1.0 + w * w)) / a2
+        w = v + h * k3
+        k4 = (s * w + gamma * (1.0 + w * w)) / a2
+        v_new = v + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if s < 0.0 and (v <= 0.0 < v_new or v_new <= 0.0 < v):
             # linear interpolation of the z zero crossing = pole of y
-            poles.append(x + h * v / (v - v_new))
+            poles.append(lo + i * h + h * v / (v - v_new))
         v = v_new
         if abs(v) > _CHART_SWAP:
             v = -1.0 / v
-            in_y = not in_y
-        record(i + 1, v, in_y)
-    return angles, ys, poles
+            s = -s
+    return np.frombuffer(angles), np.frombuffer(ys), poles
 
 
 def ode_solve_y(
@@ -162,10 +165,12 @@ def ode_solve_y(
     lo, hi = _check_span(xi_span, tol)
     n = max(16, int(math.ceil((hi - lo) * 4.0)))
     prev_angles, _, _ = _integrate_riccati(params, y0, lo, hi, n)
+    steps = n
     for _ in range(max_halvings):
         n *= 2
         h = (hi - lo) / n
         angles, ys, poles = _integrate_riccati(params, y0, lo, hi, n)
+        steps += n
         # projective-line distance: atan(y) mod pi, so a sample that lands
         # on a pole compares +pi/2 and -pi/2 as coincident, not a pi jump
         diff = np.abs(angles[::2] - prev_angles)
@@ -173,7 +178,7 @@ def ode_solve_y(
         if np.max(diff) < tol:
             xs = lo + h * np.arange(n + 1)
             keep = np.abs(ys) <= _BLOWUP_Y
-            return OdeSolution(xs[keep], ys[keep], h, poles)
+            return OdeSolution(xs[keep], ys[keep], h, poles, rk4_steps=steps)
         prev_angles = angles
     raise NoConvergence(f"RK4 for y did not converge to tol={tol} in {max_halvings} halvings")
 
@@ -363,9 +368,13 @@ def pde_residual(wave: TravellingWave, x: float, t: float, h: float) -> float:
     off = h * np.arange(-2.0, 3.0)
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    phi_x5 = phi_eval(wave, x + off, t)
-    phi_t5 = phi_eval(wave, x, t + off)
-    phi0 = float(np.asarray(phi_t5)[2])
+    # one call on both stencils: row 0 is x + off at t, row 1 is x at t + off
+    xs = np.full((2, 5), x, dtype=float)
+    ts = np.full((2, 5), t, dtype=float)
+    xs[0] += off
+    ts[1] += off
+    phi_x5, phi_t5 = phi_eval(wave, xs, ts)
+    phi0 = float(phi_t5[2])
     phi_tt = float(np.dot(w2, phi_t5))
     phi_xx = float(np.dot(w2, phi_x5))
     phi_t = float(np.dot(w1, phi_t5))

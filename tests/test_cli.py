@@ -239,6 +239,18 @@ class TestSimulate:
         assert main(["simulate", "--alpha", "0.5", "--t-end", "1", "--out", str(out), *run]) == EXIT_INVALID
         assert not out.exists()
 
+    @pytest.mark.parametrize("run", [
+        ["--gamma", "0.5", "--branch", "increasing2", "--domain", "segment",
+         "--x-lo", "-20", "--x-hi", "20", "--m", "1.5"],
+        ["--gamma", "1.5", "--branch", "kink_array", "--x-lo", "5", "--x-hi", "1"],
+    ])
+    def test_other_domain_setting_exits_2(self, tmp_path, run):
+        # a setting of the other domain used to be ignored, and the run went ahead
+        out = tmp_path / "dev.csv"
+        assert main(["simulate", "--alpha", "0.5", "--n", "64", "--t-end", "1",
+                     "--out", str(out), *run]) == EXIT_INVALID
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["-1e-3", "nan", "inf"])
     def test_bad_eps_exits_2(self, tmp_path, eps):
         # a bad amplitude used to be dropped silently and the run went unperturbed

@@ -340,6 +340,125 @@ class TestGAtPoles:
         assert np.max(np.abs(sol.ys - g_eval(w, sol.xs))) < 1e-8
 
 
+def reference_riccati(w, d):
+    """The branch formulas of _riccati as first written, out of place."""
+    p = w.params
+    turns = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if w.branch is WaveBranch.KINK_ARRAY:
+            u = d / xi_period(p)
+            turns = np.round(u)
+            c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
+            y = -1.0 / p.gamma + c * np.tan(math.pi * (u - turns))
+        elif w.branch is WaveBranch.PURE_SG_DECREASING:
+            y = -np.exp(d / p.alpha)
+        elif w.branch is WaveBranch.PURE_SG_INCREASING:
+            y = np.exp(d / p.alpha)
+        elif w.branch is WaveBranch.DECREASING1:
+            fp = y_fixed_points(p)
+            y = fp.y_minus + (fp.y_plus - fp.y_minus) / (1.0 + np.exp(subcritical_rate(p) * d))
+        else:
+            if w.branch is WaveBranch.CRITICAL_KINK:
+                c, k, den = -1.0, 2.0 * p.alpha, -d
+            else:
+                fp = y_fixed_points(p)
+                c, k = fp.y_minus, fp.y_plus - fp.y_minus
+                den = -np.expm1(subcritical_rate(p) * d)
+            y = c + k / den
+            turns = np.signbit(den)
+    return y, turns
+
+
+def reference_g(w, xi):
+    y, turns = reference_riccati(w, np.asarray(xi, dtype=float) - w.xi0)
+    return math.pi + 2.0 * np.arctan(y) + TWO_PI * turns
+
+
+def reference_y(w, xi):
+    d = np.asarray(xi, dtype=float) - w.xi0
+    y, _ = reference_riccati(w, d)
+    if w.branch is WaveBranch.KINK_ARRAY:
+        period = xi_period(w.params)
+        d = d - period * (np.round(d / period - 0.5) + 0.5)
+        scale = period
+    elif w.branch is WaveBranch.CRITICAL_KINK:
+        scale = w.params.alpha
+    elif w.branch is WaveBranch.INCREASING2:
+        scale = 1.0 / subcritical_rate(w.params)
+    else:
+        return y
+    near = np.abs(d) < 1e-8 * max(1.0, scale)
+    return np.where(near, np.where(d <= 0.0, math.inf, -math.inf), y)
+
+
+def same_bits(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+def eval_points(w):
+    """Random points, signed zeros, xi0, huge values and every pole with its neighbours."""
+    xs = np.random.default_rng(5).uniform(-30.0, 30.0, 500)
+    special = [0.0, -0.0, w.xi0, 1e300, -1e300]
+    if w.branch in (WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK, WaveBranch.KINK_ARRAY):
+        poles = np.array([pole_of(w, k)[0] for k in range(-3, 4)])
+        special += [*poles, *np.nextafter(poles, math.inf), *np.nextafter(poles, -math.inf),
+                    *(poles + 1e-10), *(poles - 1e-10)]
+    return np.concatenate([xs, special])
+
+
+class TestInPlaceEval:
+    """g_eval and y_eval write into one private buffer; the out-of-place formulas are the reference."""
+
+    @pytest.mark.parametrize("xi0", [0.0, 0.3])
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    def test_matches_reference_bit_for_bit(self, branch, alpha, gamma, xi0):
+        w = wave(branch, alpha, gamma, xi0)
+        xs = eval_points(w)
+        for xi in (xs, xs[::3], xs[:60].reshape(6, 10)):
+            assert same_bits(g_eval(w, xi), reference_g(w, xi))
+            assert same_bits(y_eval(w, xi), reference_y(w, xi))
+
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    def test_input_unchanged(self, branch, alpha, gamma):
+        w = wave(branch, alpha, gamma, 0.3)
+        xs = eval_points(w)
+        before = xs.copy()
+        g_eval(w, xs)
+        y_eval(w, xs)
+        phi_eval(w, xs, 0.2)
+        phi_eval(w, 0.2, xs)
+        assert same_bits(xs, before)
+
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    def test_scalar_input_returns_float(self, branch, alpha, gamma):
+        w = wave(branch, alpha, gamma, 0.3)
+        for xi in (0.7, np.float64(0.7), np.array(0.7), 3, w.xi0):
+            for f, ref in ((g_eval, reference_g), (y_eval, reference_y)):
+                value = f(w, xi)
+                assert type(value) is float
+                assert same_bits(value, ref(w, xi))
+        assert type(phi_eval(w, 0.7, 0.2)) is float
+
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    def test_integer_input(self, branch, alpha, gamma):
+        w = wave(branch, alpha, gamma, 0.3)
+        ints = np.arange(-4, 5)
+        assert same_bits(g_eval(w, ints), reference_g(w, ints.astype(float)))
+        assert same_bits(y_eval(w, ints), reference_y(w, ints.astype(float)))
+        assert same_bits(g_eval(w, list(ints)), g_eval(w, ints.astype(float)))
+
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES[1:4])
+    def test_y_pole_window_fires(self, branch, alpha, gamma):
+        # y_eval reads d again for its window after _riccati has filled y
+        w = wave(branch, alpha, gamma, 0.3)
+        for k in (-1, 0, 2):
+            pole = pole_of(w, k)[0]
+            xs = np.array([pole - 1e-10, pole, pole + 1e-10])
+            assert list(y_eval(w, xs)) == [math.inf, math.inf, -math.inf]
+            assert [y_eval(w, float(x)) for x in xs] == [math.inf, math.inf, -math.inf]
+
+
 class TestGLimits:
     def test_decreasing1(self):
         lo, hi = g_limits(wave(WaveBranch.DECREASING1, 1.0, 0.5))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgwaves import (
     DomainError,
@@ -19,6 +21,7 @@ from sgwaves import (
     pde_residual,
     quad_period,
     xi_period,
+    y_eval,
     y_fixed_points,
 )
 
@@ -285,3 +288,175 @@ class TestOracleAgreement:
         assert np.max(np.abs(g_from_y - g_eval(wave, soly.xs))) < 1e-7
         solg = ode_solve_g(params, g_eval(wave, 0.0), span, 1e-9)
         assert np.max(np.abs(solg.ys - g_eval(wave, solg.xs))) < 1e-8
+
+
+# Reference copies of the RK4 passes as first written: one rhs call per
+# stage and a record call per sample.  The inlined loops in `oracles` must
+# give the same samples bit for bit.
+
+def reference_rk4_scalar(rhs, x0, y0, n, h):
+    ys = np.empty(n + 1)
+    ys[0] = y = y0
+    x = x0
+    for i in range(n):
+        k1 = rhs(x, y)
+        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(x + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x0 + (i + 1) * h
+        ys[i + 1] = y
+    return ys
+
+
+def reference_integrate_riccati(params, y0, lo, hi, n):
+    alpha, gamma = params.alpha, params.gamma
+    h = (hi - lo) / n
+
+    def rhs_y(v):
+        return (2.0 * v + gamma * (1.0 + v * v)) / (2.0 * alpha)
+
+    def rhs_z(v):
+        return (gamma * (1.0 + v * v) - 2.0 * v) / (2.0 * alpha)
+
+    in_y = abs(y0) <= 1.0
+    v = y0 if in_y else -1.0 / y0
+    angles = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    poles = []
+
+    def record(i, v, in_y):
+        if in_y:
+            ys[i] = v
+            angles[i] = math.atan(v)
+        else:
+            ys[i] = math.inf if v == 0.0 else -1.0 / v
+            angles[i] = math.copysign(0.5 * math.pi, ys[i]) if v == 0.0 else math.atan(ys[i])
+
+    record(0, v, in_y)
+    for i in range(n):
+        x = lo + i * h
+        f = rhs_y if in_y else rhs_z
+        k1 = f(v)
+        k2 = f(v + 0.5 * h * k1)
+        k3 = f(v + 0.5 * h * k2)
+        k4 = f(v + h * k3)
+        v_new = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not in_y and (v <= 0.0 < v_new or v_new <= 0.0 < v):
+            poles.append(x + h * v / (v - v_new))
+        v = v_new
+        if abs(v) > 1.0:
+            v = -1.0 / v
+            in_y = not in_y
+        record(i + 1, v, in_y)
+    return angles, ys, poles
+
+
+def reference_solve_g(params, g0, lo, hi, tol=1e-9):
+    """(xs, ys, step) of the halving loop around reference_rk4_scalar."""
+    def rhs(_x, g):
+        return (params.gamma - math.sin(g)) / params.alpha
+
+    n = max(16, int(math.ceil((hi - lo) * 4.0)))
+    prev = reference_rk4_scalar(rhs, lo, g0, n, (hi - lo) / n)
+    while True:
+        n *= 2
+        h = (hi - lo) / n
+        cur = reference_rk4_scalar(rhs, lo, g0, n, h)
+        if np.max(np.abs(cur[::2] - prev)) < tol:
+            return lo + h * np.arange(n + 1), cur, h
+        prev = cur
+
+
+def reference_solve_y(params, y0, lo, hi, tol=1e-9):
+    """(xs, ys, step, poles) of the halving loop around reference_integrate_riccati."""
+    n = max(16, int(math.ceil((hi - lo) * 4.0)))
+    prev_angles, _, _ = reference_integrate_riccati(params, y0, lo, hi, n)
+    while True:
+        n *= 2
+        h = (hi - lo) / n
+        angles, ys, poles = reference_integrate_riccati(params, y0, lo, hi, n)
+        diff = np.abs(angles[::2] - prev_angles)
+        diff = np.minimum(diff, math.pi - np.minimum(diff, math.pi))
+        if np.max(diff) < tol:
+            keep = np.abs(ys) <= 1e12
+            return (lo + h * np.arange(n + 1))[keep], ys[keep], h, poles
+        prev_angles = angles
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_matches_reference(params, g0, y0, lo, hi):
+    """Both solvers against the reference passes, and their step counts."""
+    n0 = max(16, math.ceil((hi - lo) * 4.0))
+    sol = ode_solve_g(params, g0, (lo, hi), 1e-9)
+    xs, ys, h = reference_solve_g(params, g0, lo, hi)
+    assert_same_bits(sol.xs, xs)
+    assert_same_bits(sol.ys, ys)
+    assert sol.step_used == h and sol.pole_events == []
+    # every pass counts: n0 + 2*n0 + ... + n_final, the rule bench/tracing.py uses
+    assert sol.rk4_steps == 2 * round((hi - lo) / sol.step_used) - n0
+
+    sol = ode_solve_y(params, y0, (lo, hi), 1e-9)
+    xs, ys, h, poles = reference_solve_y(params, y0, lo, hi)
+    assert_same_bits(sol.xs, xs)
+    assert_same_bits(sol.ys, ys)
+    assert sol.step_used == h
+    assert_same_bits(sol.pole_events, poles)
+    assert sol.rk4_steps == 2 * round((hi - lo) / sol.step_used) - n0
+    return sol
+
+
+@st.composite
+def oracle_waves(draw):
+    """Random wave of any non-constant branch."""
+    branch = draw(st.sampled_from([b for b in WaveBranch if not b.is_constant]))
+    if branch in (WaveBranch.DECREASING1, WaveBranch.INCREASING2):
+        gamma = draw(st.floats(0.05, 0.95))
+    elif branch is WaveBranch.KINK_ARRAY:
+        gamma = draw(st.floats(1.01, 4.0))
+    else:
+        gamma = 1.0 if branch is WaveBranch.CRITICAL_KINK else 0.0
+    return TravellingWave(ModelParams(draw(st.floats(0.3, 2.0)), gamma), branch,
+                          draw(st.floats(-5.0, 5.0)))
+
+
+class TestKernelBitIdentity:
+    """The inlined RK4 loops against the reference passes above."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=30)
+    @given(w=oracle_waves(), offset=st.floats(-3.0, 3.0), span=st.floats(0.5, 10.0))
+    # two poles of y on the span
+    @example(w=TravellingWave(ModelParams(1.0, 1.5), WaveBranch.KINK_ARRAY, 0.3),
+             offset=-1.0, span=10.0)
+    # y0 = -21, so the pass starts on the z chart
+    @example(w=TravellingWave(ModelParams(1.0, 1.0), WaveBranch.CRITICAL_KINK, -1.0),
+             offset=0.1, span=3.0)
+    # starts exactly on the pole: y0 = +inf, sample 0 has z == 0
+    @example(w=TravellingWave(ModelParams(0.5, 0.5), WaveBranch.INCREASING2, 0.0),
+             offset=0.0, span=2.0)
+    # crosses the pole of increasing2
+    @example(w=TravellingWave(ModelParams(0.5, 0.5), WaveBranch.INCREASING2, 1.0),
+             offset=-1.0, span=3.0)
+    def test_solvers_match_reference(self, w, offset, span):
+        lo = w.xi0 + offset
+        hi = lo + span
+        assert_matches_reference(w.params, g_eval(w, lo), y_eval(w, lo), lo, hi)
+
+    @pytest.mark.parametrize("params,y0,span", [
+        (ModelParams(1.0, 0.0), math.inf, (0.0, 2.0)),      # z stays 0: every sample on a pole
+        (ModelParams(1.0, 0.0), -math.inf, (0.0, 2.0)),
+        (ModelParams(0.7, 0.5), -math.inf, (-1.0, 4.0)),
+        (ModelParams(0.7, 2.5), 5.0, (-3.0, 9.0)),
+        (ModelParams(0.7, 2.5), 1.0, (0.0, 6.0)),
+        (ModelParams(1, 2), -3, (0, 5)),                      # integer parameters and start
+    ])
+    def test_explicit_starts(self, params, y0, span):
+        g0 = 0.0 if math.isinf(y0) else 4.0 * math.atan(F_map(y0))
+        sol = assert_matches_reference(params, g0, y0, *span)
+        if params.gamma == 0.0 and y0 == math.inf:
+            assert sol.xs.size == 0 and sol.ys.size == 0
