@@ -53,15 +53,18 @@ def _setup_logging() -> None:
 def load_config(path: str) -> dict[str, str]:
     """Parse a flat `key = value` file; `#` starts a comment."""
     settings: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                key, value = line.split("=", 1)
+                settings[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a UTF-8 text file ({exc})") from exc
     return settings
 
 
@@ -82,26 +85,16 @@ def _need(settings: dict[str, str], key: str) -> str:
     return settings[key]
 
 
-def _as_float(settings: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in settings:
-        if default is None:
-            raise DomainError(f"missing required numeric setting '{key}'")
+def _as_number(settings: dict[str, str], key: str, default=None, kind=float):
+    """settings[key] parsed by kind (float or int); default when the key is absent."""
+    if key not in settings and default is not None:
         return default
+    value = _need(settings, key)
     try:
-        return float(settings[key])
+        return kind(value)
     except ValueError as exc:
-        raise DomainError(f"setting '{key}' must be a number, got {settings[key]!r}") from exc
-
-
-def _as_int(settings: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in settings:
-        if default is None:
-            raise DomainError(f"missing required integer setting '{key}'")
-        return default
-    try:
-        return int(settings[key])
-    except ValueError as exc:
-        raise DomainError(f"setting '{key}' must be an integer, got {settings[key]!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise DomainError(f"setting '{key}' must be {noun}, got {value!r}") from exc
 
 
 def _as_bool(settings: dict[str, str], key: str, default: bool = False) -> bool:
@@ -125,11 +118,11 @@ def _parse_branch(settings: dict[str, str]) -> WaveBranch:
 
 
 def _parse_wave(settings: dict[str, str]) -> TravellingWave:
-    params = ModelParams(_as_float(settings, "alpha"), _as_float(settings, "gamma"))
+    params = ModelParams(_as_number(settings, "alpha"), _as_number(settings, "gamma"))
     if params.flipped:
         log.info("negative gamma normalized to %g; interpret phi as -phi", params.gamma)
-    chirality = _as_int(settings, "chirality", 1)
-    return TravellingWave(params, _parse_branch(settings), _as_float(settings, "xi0", 0.0), chirality)
+    chirality = _as_number(settings, "chirality", 1, int)
+    return TravellingWave(params, _parse_branch(settings), _as_number(settings, "xi0", 0.0), chirality)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -138,8 +131,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise DomainError(f"grid must be 'lo:hi:n', got {spec!r}") from exc
-    if n < 2 or not hi > lo:
-        raise DomainError(f"grid needs hi > lo and n >= 2, got {spec!r}")
+    if not 2 <= n <= pde_sim.MAX_GRID_POINTS or not hi > lo:
+        raise DomainError(f"grid needs hi > lo and 2 <= n <= {pde_sim.MAX_GRID_POINTS}, got {spec!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -169,8 +162,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_period(args: argparse.Namespace) -> int:
     """Print the closed-form period, the quadrature period and their difference."""
     settings = _merge_settings(args, ["alpha", "gamma", "tol"])
-    params = ModelParams(_as_float(settings, "alpha"), _as_float(settings, "gamma"))
-    tol = _as_float(settings, "tol", oracles.DEFAULT_QUAD_TOL)
+    params = ModelParams(_as_number(settings, "alpha"), _as_number(settings, "gamma"))
+    tol = _as_number(settings, "tol", oracles.DEFAULT_QUAD_TOL)
     closed = closed_form.xi_period(params)
     quad = oracles.quad_period(params, tol)
     print(f"closed_form_period = {_fmt(closed)}")
@@ -192,94 +185,22 @@ def cmd_limits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(corrupt_gamma_sign: bool) -> dict[str, tuple[float, float]]:
-    """Run the verification suite; returns name -> (worst value, threshold)."""
-    checks: dict[str, tuple[float, float]] = {}
-
-    worst = 0.0
-    for gamma in np.linspace(0.0, 1.0, 101):
-        report = oracles.identities_check(float(gamma))
-        worst = max(worst, max(report.residuals.values()))
-    if corrupt_gamma_sign:
-        # fault-injection hook: flip the forcing sign inside the fixed-point
-        # formula and fold the (large) residual into the identity check
-        gamma_c = 0.5
-        root = math.sqrt(1.0 - gamma_c * gamma_c)
-        y_minus_bad = (1.0 + root) / gamma_c
-        worst = max(
-            worst,
-            abs(closed_form.F_map(y_minus_bad) - math.tan(closed_form.theta(gamma_c))),
-        )
-    checks["identity_max_residual"] = (worst, 1e-12)
-
-    worst = 0.0
-    for gamma in (1.01, 1.25, math.sqrt(2.0), 2.0, 5.0, 50.0):
-        for alpha in (0.3, 1.0, 2.0):
-            params = ModelParams(alpha, gamma)
-            diff = abs(oracles.quad_period(params) - closed_form.xi_period(params))
-            worst = max(worst, diff)
-    checks["period_max_abs_diff"] = (worst, 1e-9)
-
-    combos = [
-        (WaveBranch.DECREASING1, 0.5, 0.5),
-        (WaveBranch.INCREASING2, 0.5, 0.5),
-        (WaveBranch.CRITICAL_KINK, 1.0, 1.0),
-        (WaveBranch.KINK_ARRAY, 1.0, 1.5),
-    ]
-    worst = 0.0
-    for branch, alpha, gamma in combos:
-        wave = TravellingWave(ModelParams(alpha, gamma), branch)
-        span = (wave.xi0 + 0.1, wave.xi0 + 10.0)
-        sol = oracles.ode_solve_g(wave.params, closed_form.g_eval(wave, span[0]), span)
-        worst = max(worst, float(np.max(np.abs(sol.ys - closed_form.g_eval(wave, sol.xs)))))
-    checks["ode_oracle_sup_diff"] = (worst, 1e-8)
-
-    rng = np.random.default_rng(202406)
-    worst = 0.0
-    for branch, alpha, gamma in combos + [
-        (WaveBranch.PURE_SG_DECREASING, 1.0, 0.0),
-        (WaveBranch.PURE_SG_INCREASING, 1.0, 0.0),
-    ]:
-        wave = TravellingWave(ModelParams(alpha, gamma), branch)
-        count = 0
-        while count < 50:
-            x = float(rng.uniform(-8.0, 8.0))
-            t = float(rng.uniform(-8.0, 8.0))
-            try:
-                res = oracles.pde_residual(wave, x, t, 1e-3)
-            except SGWaveError:
-                continue
-            worst = max(worst, abs(res))
-            count += 1
-    checks["pde_max_residual"] = (worst, 1e-6)
-
-    # F(y)*(sqrt(1+y^2) - y) = 1, the second factor in its own stable form
-    ys = np.concatenate([-np.logspace(-8, 8, 33), [0.0], np.logspace(-8, 8, 33)])
-    F = closed_form.F_map(ys)
-    r = np.sqrt(1.0 + ys * ys)
-    with np.errstate(divide="ignore"):
-        rel = np.abs(F * np.where(ys > 0.0, 1.0 / (r + ys), r - ys) - 1.0)
-    checks["fmap_identity_max_rel"] = (float(np.max(rel)), 1e-12)
-
-    wave = TravellingWave(ModelParams(1.0, 1.5), WaveBranch.KINK_ARRAY)
-    period = closed_form.xi_period(wave.params)
-    xs = rng.uniform(-50.0, 50.0, 100)
-    gaps = closed_form.g_eval(wave, xs + period) - closed_form.g_eval(wave, xs)
-    checks["periodicity_max_abs"] = (float(np.max(np.abs(gaps - 2.0 * math.pi))), 1e-9)
-    return checks
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run the oracle suite and report pass/fail per check."""
+    """Run the oracle check table `oracles.CHECKS` and report pass/fail per check."""
     settings = _merge_settings(args, ["out"])
-    checks = _verify_checks(bool(getattr(args, "corrupt_gamma_sign", False)))
     lines = []
     failures = []
-    for name, (value, threshold) in checks.items():
-        ok = value < threshold
+    for name, (threshold, worst) in oracles.CHECKS.items():
+        value = worst()
+        if name == "identity_max_residual" and args.corrupt_gamma_sign:
+            # fault-injection hook: flip the forcing sign inside the fixed-point
+            # formula and fold the (large) residual into the identity check
+            gamma = 0.5
+            y_bad = (1.0 + math.sqrt(1.0 - gamma * gamma)) / gamma
+            value = max(value, abs(closed_form.F_map(y_bad) - math.tan(closed_form.theta(gamma))))
         lines.append(f"{name} = {_fmt(value)}")
         lines.append(f"{name}_threshold = {_fmt(threshold)}")
-        if not ok:
+        if not value < threshold:
             failures.append((name, value, threshold))
     lines.append(f"status = {'pass' if not failures else 'fail'}")
     if failures:
@@ -310,25 +231,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if key in settings:
             raise DomainError(f"setting '{key}' does not apply to a {domain_kind} domain")
     if domain_kind == "circle":
-        domain = Circle(_as_int(settings, "m", 1))
+        domain = Circle(_as_number(settings, "m", 1, int))
     elif domain_kind == "segment":
-        domain = Segment(_as_float(settings, "x_lo"), _as_float(settings, "x_hi"))
+        domain = Segment(_as_number(settings, "x_lo"), _as_number(settings, "x_hi"))
     else:
         raise DomainError(f"domain must be 'circle' or 'segment', got {domain_kind!r}")
 
-    n = _as_int(settings, "n", 256)
-    cfl_guard = _as_float(settings, "cfl_guard", 0.9)
+    n = _as_number(settings, "n", 256, int)
+    cfl_guard = _as_number(settings, "cfl_guard", 0.9)
     dx = pde_sim.domain_grid(wave, n, domain)[1]
-    dt = _as_float(settings, "dt", cfl_guard * dx)
+    dt = _as_number(settings, "dt", cfl_guard * dx)
     state = pde_sim.init_from_wave(wave, n, domain, dt=dt)
 
-    eps = _as_float(settings, "eps", 0.0)
-    pert = Perturbation(eps, _as_int(settings, "mode", 1)) if eps != 0.0 else None
+    eps = _as_number(settings, "eps", 0.0)
+    pert = Perturbation(eps, _as_number(settings, "mode", 1, int)) if eps != 0.0 else None
     config = SimConfig(
         dt=dt,
-        t_end=_as_float(settings, "t_end"),
+        t_end=_as_number(settings, "t_end"),
         cfl_guard=cfl_guard,
-        record_every=_as_int(settings, "record_every", 50),
+        record_every=_as_number(settings, "record_every", 50, int),
         perturbation=pert,
         probe=_as_bool(settings, "probe", False),
     )

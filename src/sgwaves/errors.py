@@ -16,8 +16,8 @@ class NoConvergence(SGWaveError, RuntimeError):
 class PoleProximity(SGWaveError, ValueError):
     """Requested evaluation is too close to a pole for the stencil in use.
 
-    No routine in the package raises it any more (g and phi are smooth at
-    every pole); it stays importable for callers that catch it.
+    Raised nowhere since g and phi are smooth at every pole; it goes at the
+    next benchmark change, as bench/workloads.py still catches it.
     """
 
 

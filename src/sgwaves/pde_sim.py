@@ -30,6 +30,7 @@ from .model import TWO_PI, ModelParams, energy_density, wrap_to
 BLOWUP_THRESHOLD = 1e6  # radians; far beyond any physical excursion
 _BLOWUP_SQUARED = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD  # 1e12, exact in float64
 _SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
+MAX_GRID_POINTS = 2**22  # grid size cap: 32 MB per float64 array of the run
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,8 @@ def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
     Circle(m): x0 = 0, dx = m*Xi/n and twist chirality*2*pi*m.  Segment:
     x0 = x_lo, dx = (x_hi - x_lo)/(n - 1) and the ends pinned to the wave.
     """
-    if n < 64:
-        raise DomainError(f"grid must have n >= 64 points, got {n}")
+    if not 64 <= n <= MAX_GRID_POINTS:
+        raise DomainError(f"grid must have 64 <= n <= {MAX_GRID_POINTS} points, got {n}")
     if isinstance(domain, Circle):
         if domain.m < 1:
             raise DomainError("circle winding m must be >= 1")

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
+Criteria 01, 03, 04, 06 and 07 assert entries of `sgwaves.oracles.CHECKS`,
+the check table that `sgwaves verify` runs too; its thresholds are pinned
+here as literals.  Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  The whole suite is budgeted to finish well inside
 ten minutes on a desktop.
 """
@@ -23,31 +25,27 @@ from sgwaves import (
     evolve,
     g_eval,
     g_limits,
-    identities_check,
     init_from_wave,
-    ode_solve_g,
-    pde_residual,
     phi_limits,
-    quad_period,
     subcritical_rate,
     winding_number,
     wrap_to,
     xi_period,
 )
 from sgwaves.cli import main as cli_main
-from sgwaves.errors import PoleProximity
+from sgwaves.oracles import BRANCH_CASES, CHECKS
 
 TWO_PI = 2.0 * math.pi
-SQRT2 = math.sqrt(2.0)
 
-BRANCH_CASES = [
-    (WaveBranch.DECREASING1, 0.5, 0.5),
-    (WaveBranch.INCREASING2, 0.5, 0.5),
-    (WaveBranch.CRITICAL_KINK, 1.0, 1.0),
-    (WaveBranch.KINK_ARRAY, 0.7, 1.5),
-    (WaveBranch.PURE_SG_DECREASING, 1.0, 0.0),
-    (WaveBranch.PURE_SG_INCREASING, 1.0, 0.0),
-]
+# the oracle check table's thresholds, in `sgwaves verify` order; never loosen one
+PINNED_THRESHOLDS = {
+    "identity_max_residual": 1e-12,
+    "period_max_abs_diff": 1e-9,
+    "ode_oracle_sup_diff": 1e-8,
+    "pde_max_residual": 1e-6,
+    "fmap_identity_max_rel": 1e-12,
+    "periodicity_max_abs": 1e-9,
+}
 
 
 @contextmanager
@@ -58,6 +56,17 @@ def criterion(num: int, title: str):
         print(f"[criterion {num:02d}] FAIL  {title}")
         raise
     print(f"[criterion {num:02d}] PASS  {title}")
+
+
+def assert_check(name: str) -> None:
+    """The table entry's worst value lies below its pinned threshold."""
+    _, worst = CHECKS[name]
+    assert worst() < PINNED_THRESHOLDS[name]
+
+
+def test_check_table_thresholds():
+    assert [(name, threshold) for name, (threshold, _) in CHECKS.items()] == list(
+        PINNED_THRESHOLDS.items())
 
 
 def pole_free_grid(wave, lo, hi, n, margin=1.5e-3):
@@ -94,11 +103,7 @@ def kink_array_probe():
 
 def test_criterion_01_period_agreement():
     with criterion(1, "quadrature period equals 2*pi*alpha/sqrt(gamma^2-1) to 1e-9"):
-        for gamma in (1.01, 1.25, SQRT2, 2.0, 5.0, 50.0):
-            for alpha in (0.3, 1.0, 2.0):
-                params = ModelParams(alpha, gamma)
-                closed = TWO_PI * alpha / math.sqrt(gamma * gamma - 1.0)
-                assert abs(quad_period(params, 1e-10) - closed) < 1e-9
+        assert_check("period_max_abs_diff")
 
 
 def test_criterion_02_ode_residual_every_branch():
@@ -117,34 +122,12 @@ def test_criterion_02_ode_residual_every_branch():
 
 def test_criterion_03_pde_residual_random_points():
     with criterion(3, "field-equation residual < 1e-6 at 50 random points per branch"):
-        rng = np.random.default_rng(314159)
-        for branch, alpha, gamma in BRANCH_CASES:
-            wave = TravellingWave(ModelParams(alpha, gamma), branch)
-            count = 0
-            while count < 50:
-                x = float(rng.uniform(-10.0, 10.0))
-                t = float(rng.uniform(-10.0, 10.0))
-                try:
-                    residual = pde_residual(wave, x, t, 1e-3)
-                except PoleProximity:
-                    continue
-                assert abs(residual) < 1e-6
-                count += 1
+        assert_check("pde_max_residual")
 
 
 def test_criterion_04_ode_oracle_equivalence():
     with criterion(4, "sup|ode_solve_g - g_eval| < 1e-8 over [xi0+0.1, xi0+10]"):
-        cases = [
-            (WaveBranch.DECREASING1, 0.5, 0.5),
-            (WaveBranch.INCREASING2, 0.5, 0.5),
-            (WaveBranch.CRITICAL_KINK, 1.0, 1.0),
-            (WaveBranch.KINK_ARRAY, 1.0, 1.5),
-        ]
-        for branch, alpha, gamma in cases:
-            wave = TravellingWave(ModelParams(alpha, gamma), branch)
-            lo, hi = wave.xi0 + 0.1, wave.xi0 + 10.0
-            sol = ode_solve_g(wave.params, g_eval(wave, lo), (lo, hi), 1e-9)
-            assert np.max(np.abs(sol.ys - g_eval(wave, sol.xs))) < 1e-8
+        assert_check("ode_oracle_sup_diff")
 
 
 def test_criterion_05_limits():
@@ -188,19 +171,12 @@ def test_criterion_05_limits():
 
 def test_criterion_06_appendix_identities():
     with criterion(6, "trigonometric identity residuals < 1e-12 on a 101-point grid"):
-        for gamma in np.linspace(0.0, 1.0, 101):
-            report = identities_check(float(gamma))
-            assert max(report.residuals.values()) < 1e-12
+        assert_check("identity_max_residual")
 
 
 def test_criterion_07_periodicity_and_twist(kink_array_probe):
     with criterion(7, "g(xi+Xi) - g(xi) = 2*pi to 1e-9; winding preserved to 1e-6 over 50*Xi"):
-        wave = TravellingWave(ModelParams(1.0, SQRT2), WaveBranch.KINK_ARRAY)
-        period = xi_period(wave.params)
-        rng = np.random.default_rng(271828)
-        xs = rng.uniform(-60.0, 60.0, 100)
-        gaps = g_eval(wave, xs + period) - g_eval(wave, xs)
-        assert np.max(np.abs(gaps - TWO_PI)) < 1e-9
+        assert_check("periodicity_max_abs")
         probe_wave, report = kink_array_probe
         assert winding_number(report.final_state) == pytest.approx(
             probe_wave.chirality * 1.0, abs=1e-6

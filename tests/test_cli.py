@@ -8,9 +8,12 @@ from sgwaves.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    _parse_grid,
     load_config,
     main,
 )
+from sgwaves.oracles import CHECKS
+from sgwaves.pde_sim import MAX_GRID_POINTS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -40,6 +43,14 @@ class TestConfigFile:
         cfg.write_text("alpha 1.0\n")
         with pytest.raises(DomainError):
             load_config(str(cfg))
+
+    def test_not_utf8_exits_2(self, tmp_path):
+        # a binary file used to end in a UnicodeDecodeError traceback and exit 1
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"alpha = \xff\n")
+        with pytest.raises(DomainError, match="binary.cfg"):
+            load_config(str(cfg))
+        assert main(["period", "--config", str(cfg), "--gamma", "2"]) == EXIT_INVALID
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -88,6 +99,19 @@ class TestEval:
             "--grid", "0:1:11", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == EXIT_INVALID
+
+    def test_huge_grid_exits_2(self, tmp_path):
+        # used to reach np.linspace and end in a traceback with exit 1
+        code = main([
+            "eval", "--alpha", "1", "--gamma", "0.5", "--branch", "decreasing1",
+            "--grid", f"0:1:{2**62}", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_INVALID
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_cap(self):
+        with pytest.raises(DomainError):
+            _parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
 
     def test_unknown_branch_rejected_before_compute(self, tmp_path):
         code = main([
@@ -143,6 +167,17 @@ class TestVerify:
             values[key] = value
         assert float(values["identity_max_residual"]) < 1e-12
         assert float(values["period_max_abs_diff"]) < 1e-9
+
+    def test_values_are_the_table_entries(self, capsys):
+        # 17 significant digits round-trip a double, so each value is exact
+        assert main(["verify"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [
+            key for name in CHECKS for key in (name, f"{name}_threshold")] + ["status"]
+        values = dict(line.split(" = ") for line in lines)
+        for name, (threshold, worst) in CHECKS.items():
+            assert float(values[name]) == worst()
+            assert float(values[f"{name}_threshold"]) == threshold
 
     def test_fault_injection_fails(self, capsys):
         code = main(["verify", "--corrupt-gamma-sign"])
@@ -249,6 +284,14 @@ class TestSimulate:
         out = tmp_path / "dev.csv"
         assert main(["simulate", "--alpha", "0.5", "--n", "64", "--t-end", "1",
                      "--out", str(out), *run]) == EXIT_INVALID
+        assert not out.exists()
+
+    def test_huge_grid_exits_2(self, tmp_path):
+        # used to reach np.arange and end in a traceback with exit 1
+        out = tmp_path / "dev.csv"
+        args = self.args(out)
+        args[args.index("--n") + 1] = str(2**62)
+        assert main(args) == EXIT_INVALID
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["-1e-3", "nan", "inf"])

@@ -24,6 +24,7 @@ from sgwaves import (
     y_eval,
     y_fixed_points,
 )
+from sgwaves import oracles
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -210,6 +211,47 @@ class TestIdentities:
             identities_check(1.5)
         with pytest.raises(DomainError):
             identities_check(-0.2)
+
+
+def with_one_nan(out):
+    """`out` with one value replaced by NaN: a scalar, an array's middle entry or a residual."""
+    if isinstance(out, oracles.IdentityReport):
+        return oracles.IdentityReport(out.gamma, {**out.residuals, "pi8": math.nan})
+    if np.ndim(out) == 0:
+        return math.nan
+    out = np.array(out, dtype=float)
+    out[out.size // 2] = math.nan
+    return out
+
+
+# check name -> (oracles function to patch, which of its calls return a NaN);
+# each NaN lands after the first value the check compares
+NAN_CASES = {
+    "identity_max_residual": ("identities_check", lambda gamma: gamma == 0.5),
+    "period_max_abs_diff": ("quad_period", lambda params, tol: params.gamma == 2.0),
+    "ode_oracle_sup_diff": (
+        "g_eval", lambda wave, xs: wave.branch is WaveBranch.CRITICAL_KINK and np.ndim(xs) == 1),
+    "pde_max_residual": ("pde_residual", lambda wave, x, t, h: wave.branch is WaveBranch.KINK_ARRAY),
+    "fmap_identity_max_rel": ("F_map", lambda ys: True),
+    "periodicity_max_abs": ("g_eval", lambda wave, xs: True),
+}
+
+
+class TestCheckTableNaN:
+    """A NaN among a check's values fails the check; the builtin max would drop it."""
+
+    @pytest.mark.parametrize("name", list(NAN_CASES))
+    def test_one_nan_fails(self, monkeypatch, name):
+        target, hit = NAN_CASES[name]
+        original = getattr(oracles, target)
+
+        def patched(*args):
+            out = original(*args)
+            return with_one_nan(out) if hit(*args) else out
+
+        monkeypatch.setattr(oracles, target, patched)
+        threshold, worst = oracles.CHECKS[name]
+        assert not worst() < threshold
 
 
 class TestPdeResidual:

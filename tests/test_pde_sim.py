@@ -91,6 +91,14 @@ class TestInitFromWave:
         with pytest.raises(DomainError):
             init_from_wave(kink_array_wave(), 32, Circle(1))
 
+    def test_maximum_grid(self):
+        # a huge n used to reach the array allocations unchecked
+        wave = kink_array_wave()
+        for domain in (Circle(1), Segment(-20.0, 20.0)):
+            assert pde_sim.domain_grid(wave, pde_sim.MAX_GRID_POINTS, domain)[1] > 0.0
+            with pytest.raises(DomainError):
+                pde_sim.domain_grid(wave, pde_sim.MAX_GRID_POINTS + 1, domain)
+
 
 GEOMETRY_SETTINGS = settings(deadline=None, derandomize=True, database=None, max_examples=40)
 alphas, xi0s, chiralities = st.floats(0.2, 2.0), st.floats(-10.0, 10.0), st.sampled_from([1, -1])
