@@ -1,10 +1,10 @@
 """Command-line front end: eval, period, limits, verify, simulate.
 
-Configuration comes from an optional flat key = value file plus flags
-(flags win).  All numbers are written with 17 significant digits so CSV
-outputs round-trip doubles exactly, and every command is deterministic
-given its configuration: random sampling uses fixed seeds and perturbations
-are deterministic sinusoids.
+Each setting is declared once, in `SETTINGS`; its config key is its name and
+its flag the name with dashes (`t_end`, `--t-end`).  Settings come from an
+optional flat key = value file plus flags (flags win).  All numbers are
+written with 17 significant digits so CSV outputs round-trip doubles
+exactly, and every command is deterministic given its configuration.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid config or domain
 error, 3 runtime divergence.  Set SGW_LOG to quiet/info/debug to control
@@ -26,16 +26,17 @@ from . import closed_form, oracles, pde_sim
 from .closed_form import TravellingWave, WaveBranch
 from .errors import BlowUp, DomainError, SGWaveError
 from .model import ModelParams
-from .pde_sim import Circle, Perturbation, Segment, SimConfig
+from .pde_sim import MAX_GRID_POINTS, Circle, Perturbation, Segment, SimConfig
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 
+MAX_CONFIG_BYTES = 2**20  # a config file is a few lines; anything larger is a mistake
+
 log = logging.getLogger("sgwaves")
 
-_BRANCH_NAMES = {b.value: b for b in WaveBranch}
 _NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -51,78 +52,38 @@ def _setup_logging() -> None:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Parse a flat `key = value` file; `#` starts a comment."""
-    settings: dict[str, str] = {}
+    """Parse a flat `key = value` file of at most MAX_CONFIG_BYTES; `#` starts a comment."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise DomainError(f"{path}: config file larger than {MAX_CONFIG_BYTES} bytes")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-                key, value = line.split("=", 1)
-                settings[key.strip()] = value.strip()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a UTF-8 text file ({exc})") from exc
-    return settings
-
-
-def _merge_settings(args: argparse.Namespace, keys: list[str]) -> dict[str, str]:
     settings: dict[str, str] = {}
-    if getattr(args, "config", None):
-        settings.update(load_config(args.config))
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = str(value)
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        settings[key.strip()] = value.strip()
     return settings
 
 
-def _need(settings: dict[str, str], key: str) -> str:
-    if key not in settings:
-        raise DomainError(f"missing required setting '{key}'")
-    return settings[key]
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return text.lower() in ("true", "1", "yes", "on")
 
 
-def _as_number(settings: dict[str, str], key: str, default=None, kind=float):
-    """settings[key] parsed by kind (float or int); default when the key is absent."""
-    if key not in settings and default is not None:
-        return default
-    value = _need(settings, key)
-    try:
-        return kind(value)
-    except ValueError as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise DomainError(f"setting '{key}' must be {noun}, got {value!r}") from exc
-
-
-def _as_bool(settings: dict[str, str], key: str, default: bool = False) -> bool:
-    if key not in settings:
-        return default
-    value = settings[key].lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise DomainError(f"setting '{key}' must be a boolean, got {settings[key]!r}")
-
-
-def _parse_branch(settings: dict[str, str]) -> WaveBranch:
-    name = _need(settings, "branch")
-    if name not in _BRANCH_NAMES:
-        raise DomainError(
-            f"unknown branch '{name}'; valid names: {', '.join(sorted(_BRANCH_NAMES))}"
-        )
-    return _BRANCH_NAMES[name]
-
-
-def _parse_wave(settings: dict[str, str]) -> TravellingWave:
-    params = ModelParams(_as_number(settings, "alpha"), _as_number(settings, "gamma"))
-    if params.flipped:
-        log.info("negative gamma normalized to %g; interpret phi as -phi", params.gamma)
-    chirality = _as_number(settings, "chirality", 1, int)
-    return TravellingWave(params, _parse_branch(settings), _as_number(settings, "xi0", 0.0), chirality)
+def _branch(name: str) -> WaveBranch:
+    valid = sorted(b.value for b in WaveBranch)
+    if name not in valid:
+        raise ValueError(f"unknown branch '{name}'; valid names: {', '.join(valid)}")
+    return WaveBranch(name)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -131,17 +92,78 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise DomainError(f"grid must be 'lo:hi:n', got {spec!r}") from exc
-    if not 2 <= n <= pde_sim.MAX_GRID_POINTS or not hi > lo:
-        raise DomainError(f"grid needs hi > lo and 2 <= n <= {pde_sim.MAX_GRID_POINTS}, got {spec!r}")
+    if not 2 <= n <= MAX_GRID_POINTS or not 0.0 < hi - lo < math.inf:
+        raise DomainError(f"grid needs 0 < hi - lo < inf and 2 <= n <= {MAX_GRID_POINTS}, got {spec!r}")
     return np.linspace(lo, hi, n)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+REQUIRED = object()  # the default of a setting that has none
+
+# name: (parser, default, help).  A parser raises ValueError on a bad value.
+SETTINGS = {
+    "alpha": (float, REQUIRED, "damping coefficient (> 0)"),
+    "gamma": (float, REQUIRED, "constant forcing (normalized to >= 0)"),
+    "branch": (_branch, REQUIRED, "wave branch name"),
+    "xi0": (float, TravellingWave.xi0, "phase offset of the wave"),
+    "chirality": (int, TravellingWave.chirality, "+1 for xi = x - t, -1 for xi = -x - t"),
+    "grid": (_parse_grid, REQUIRED, "xi grid as lo:hi:n (n points inclusive)"),
+    "tol": (float, oracles.DEFAULT_QUAD_TOL, "quadrature tolerance"),
+    "domain": (str, "circle", "'circle' or 'segment'"),
+    "m": (int, 1, "winding number for circle domains"),
+    "x_lo": (float, REQUIRED, "segment left end"),
+    "x_hi": (float, REQUIRED, "segment right end"),
+    "n": (int, 256, "grid points"),
+    "dt": (float, None, "time step (default cfl_guard*dx)"),
+    "t_end": (float, REQUIRED, "final time"),
+    "cfl_guard": (float, SimConfig.cfl_guard, "CFL safety factor"),
+    "record_every": (int, SimConfig.record_every, "steps between records"),
+    "eps": (float, 0.0, "perturbation amplitude (0 disables)"),
+    "mode": (int, 1, "perturbation mode number"),
+    "probe": (_boolean, SimConfig.probe, "true/false: record divergence instead of failing"),
+    "out": (str, REQUIRED, "output path (optional for verify: a copy of the summary)"),
+    "snapshot_out": (str, None, "final snapshot CSV path"),
+}
+
+
+class _Settings(dict):
+    """Parsed settings; an absent one reads as its SETTINGS default."""
+
+    def __missing__(self, key: str):
+        default = SETTINGS[key][1]
+        if default is REQUIRED:
+            raise DomainError(f"missing required setting '{key}'")
+        return default
+
+
+def _settings(args: argparse.Namespace) -> _Settings:
+    """The command's config-file settings overridden by its flags, each parsed by SETTINGS."""
+    names = COMMANDS[args.command][2]
+    given = load_config(args.config) if args.config else {}
+    unknown = sorted(set(given) - set(names))
+    if unknown:
+        raise DomainError(f"{args.config}: not a setting of {args.command}: {', '.join(unknown)}")
+    given.update((key, getattr(args, key)) for key in names if getattr(args, key) is not None)
+    settings = _Settings()
+    for key, value in given.items():
+        try:
+            settings[key] = SETTINGS[key][0](value)
+        except ValueError as exc:
+            raise DomainError(f"setting '{key}': {exc}") from exc
+    return settings
+
+
+def _wave(settings: _Settings) -> TravellingWave:
+    params = ModelParams(settings["alpha"], settings["gamma"])
+    if params.flipped:
+        log.info("negative gamma normalized to %g; interpret phi as -phi", params.gamma)
+    return TravellingWave(params, settings["branch"], settings["xi0"], settings["chirality"])
+
+
+def cmd_eval(settings: _Settings, args: argparse.Namespace) -> int:
     """Tabulate xi,y,F,g,phi along a xi grid into a CSV file."""
-    settings = _merge_settings(args, ["alpha", "gamma", "branch", "xi0", "chirality", "grid", "out"])
-    wave = _parse_wave(settings)
-    xs = _parse_grid(_need(settings, "grid"))
-    out = _need(settings, "out")
+    wave = _wave(settings)
+    xs = settings["grid"]
+    out = settings["out"]
     if wave.branch.is_constant:
         y = np.full_like(xs, closed_form.constant_y_value(wave.params, wave.branch))
         phi = np.asarray(closed_form.phi_eval(wave, xs, 0.0))
@@ -159,23 +181,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_period(args: argparse.Namespace) -> int:
+def cmd_period(settings: _Settings, args: argparse.Namespace) -> int:
     """Print the closed-form period, the quadrature period and their difference."""
-    settings = _merge_settings(args, ["alpha", "gamma", "tol"])
-    params = ModelParams(_as_number(settings, "alpha"), _as_number(settings, "gamma"))
-    tol = _as_number(settings, "tol", oracles.DEFAULT_QUAD_TOL)
+    params = ModelParams(settings["alpha"], settings["gamma"])
     closed = closed_form.xi_period(params)
-    quad = oracles.quad_period(params, tol)
+    quad = oracles.quad_period(params, settings["tol"])
     print(f"closed_form_period = {_fmt(closed)}")
     print(f"quadrature_period = {_fmt(quad)}")
     print(f"abs_difference = {_fmt(abs(closed - quad))}")
     return EXIT_OK
 
 
-def cmd_limits(args: argparse.Namespace) -> int:
+def cmd_limits(settings: _Settings, args: argparse.Namespace) -> int:
     """Print the asymptotic g and phi values of a non-periodic branch."""
-    settings = _merge_settings(args, ["alpha", "gamma", "branch", "xi0", "chirality"])
-    wave = _parse_wave(settings)
+    wave = _wave(settings)
     g_lo, g_hi = closed_form.g_limits(wave)
     phi_lo, phi_hi = closed_form.phi_limits(wave)
     print(f"g_xi_minus_inf = {_fmt(g_lo)}")
@@ -185,9 +204,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(settings: _Settings, args: argparse.Namespace) -> int:
     """Run the oracle check table `oracles.CHECKS` and report pass/fail per check."""
-    settings = _merge_settings(args, ["out"])
     lines = []
     failures = []
     for name, (threshold, worst) in oracles.CHECKS.items():
@@ -214,48 +232,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(settings: _Settings, args: argparse.Namespace) -> int:
     """Initialize a wave on a domain, evolve it and write the CSV outputs."""
-    settings = _merge_settings(
-        args,
-        ["alpha", "gamma", "branch", "xi0", "chirality", "domain", "m", "x_lo", "x_hi",
-         "n", "dt", "t_end", "cfl_guard", "record_every", "eps", "mode", "probe",
-         "out", "snapshot_out"],
-    )
-    wave = _parse_wave(settings)
-    out = _need(settings, "out")
+    wave = _wave(settings)
+    out = settings["out"]
 
-    domain_kind = settings.get("domain", "circle")
+    kind = settings["domain"]
+    if kind not in ("circle", "segment"):
+        raise DomainError(f"domain must be 'circle' or 'segment', got {kind!r}")
     # a setting of the other domain is a mistyped run, not one to ignore
-    for key in {"circle": ("x_lo", "x_hi"), "segment": ("m",)}.get(domain_kind, ()):
+    for key in ("x_lo", "x_hi") if kind == "circle" else ("m",):
         if key in settings:
-            raise DomainError(f"setting '{key}' does not apply to a {domain_kind} domain")
-    if domain_kind == "circle":
-        domain = Circle(_as_number(settings, "m", 1, int))
-    elif domain_kind == "segment":
-        domain = Segment(_as_number(settings, "x_lo"), _as_number(settings, "x_hi"))
-    else:
-        raise DomainError(f"domain must be 'circle' or 'segment', got {domain_kind!r}")
+            raise DomainError(f"setting '{key}' does not apply to a {kind} domain")
+    domain = Circle(settings["m"]) if kind == "circle" else Segment(settings["x_lo"], settings["x_hi"])
 
-    n = _as_number(settings, "n", 256, int)
-    cfl_guard = _as_number(settings, "cfl_guard", 0.9)
-    dx = pde_sim.domain_grid(wave, n, domain)[1]
-    dt = _as_number(settings, "dt", cfl_guard * dx)
-    state = pde_sim.init_from_wave(wave, n, domain, dt=dt)
+    dt = settings["dt"]
+    if dt is None:
+        dt = settings["cfl_guard"] * pde_sim.domain_grid(wave, settings["n"], domain)[1]
+    state = pde_sim.init_from_wave(wave, settings["n"], domain, dt=dt)
 
-    eps = _as_number(settings, "eps", 0.0)
-    pert = Perturbation(eps, _as_number(settings, "mode", 1, int)) if eps != 0.0 else None
     config = SimConfig(
         dt=dt,
-        t_end=_as_number(settings, "t_end"),
-        cfl_guard=cfl_guard,
-        record_every=_as_number(settings, "record_every", 50, int),
-        perturbation=pert,
-        probe=_as_bool(settings, "probe", False),
+        t_end=settings["t_end"],
+        cfl_guard=settings["cfl_guard"],
+        record_every=settings["record_every"],
+        perturbation=Perturbation(settings["eps"], settings["mode"]) if settings["eps"] != 0.0 else None,
+        probe=settings["probe"],
     )
     report = pde_sim.evolve(state, wave.params, config, reference=wave)
     pde_sim.write_deviation_csv(report, out)
-    if "snapshot_out" in settings:
+    if settings["snapshot_out"] is not None:
         pde_sim.write_snapshot_csv(report.final_state, wave.params, settings["snapshot_out"])
     print(f"final_t = {_fmt(report.final_state.t)}")
     if report.deviation:
@@ -267,6 +273,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_WAVE = ("alpha", "gamma", "branch", "xi0", "chirality")
+
+# command: (handler(settings, args), help, names of its settings)
+COMMANDS = {
+    "eval": (cmd_eval, "tabulate xi,y,F,g,phi over a xi grid", _WAVE + ("grid", "out")),
+    "period": (cmd_period, "closed-form vs quadrature period", ("alpha", "gamma", "tol")),
+    "limits": (cmd_limits, "asymptotic g and phi values", _WAVE),
+    "verify": (cmd_verify, "run the oracle verification suite", ("out",)),
+    "simulate": (cmd_simulate, "finite-difference evolution of a wave", _WAVE + (
+        "domain", "m", "x_lo", "x_hi", "n", "dt", "t_end", "cfl_guard", "record_every",
+        "eps", "mode", "probe", "out", "snapshot_out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgwaves",
@@ -274,55 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "equation, their numerical verification and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, wave_flags: bool = True) -> None:
+    for command, (_, help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--alpha", help="damping coefficient (> 0)")
-        p.add_argument("--gamma", help="constant forcing (normalized to >= 0)")
-        if wave_flags:
-            p.add_argument("--branch", help="wave branch name")
-            p.add_argument("--xi0", help="phase offset of the wave")
-            p.add_argument("--chirality", help="+1 for xi = x - t, -1 for xi = -x - t")
-
-    p_eval = sub.add_parser("eval", help="tabulate xi,y,F,g,phi over a xi grid")
-    add_common(p_eval)
-    p_eval.add_argument("--grid", help="xi grid as lo:hi:n (n points inclusive)")
-    p_eval.add_argument("--out", help="output CSV path")
-    p_eval.set_defaults(handler=cmd_eval)
-
-    p_period = sub.add_parser("period", help="closed-form vs quadrature period")
-    add_common(p_period, wave_flags=False)
-    p_period.add_argument("--tol", help="quadrature tolerance")
-    p_period.set_defaults(handler=cmd_period)
-
-    p_limits = sub.add_parser("limits", help="asymptotic g and phi values")
-    add_common(p_limits)
-    p_limits.set_defaults(handler=cmd_limits)
-
-    p_verify = sub.add_parser("verify", help="run the oracle verification suite")
-    p_verify.add_argument("--config", help="flat key = value configuration file")
-    p_verify.add_argument("--out", help="write the key = value summary here too")
-    p_verify.add_argument("--corrupt-gamma-sign", action="store_true",
-                          help="fault-injection hook: corrupt the forcing sign")
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_sim = sub.add_parser("simulate", help="finite-difference evolution of a wave")
-    add_common(p_sim)
-    p_sim.add_argument("--domain", help="'circle' or 'segment'")
-    p_sim.add_argument("--m", help="winding number for circle domains")
-    p_sim.add_argument("--x-lo", dest="x_lo", help="segment left end")
-    p_sim.add_argument("--x-hi", dest="x_hi", help="segment right end")
-    p_sim.add_argument("--n", help="grid points")
-    p_sim.add_argument("--dt", help="time step (default cfl_guard*dx)")
-    p_sim.add_argument("--t-end", dest="t_end", help="final time")
-    p_sim.add_argument("--cfl-guard", dest="cfl_guard", help="CFL safety factor")
-    p_sim.add_argument("--record-every", dest="record_every", help="steps between records")
-    p_sim.add_argument("--eps", help="perturbation amplitude (0 disables)")
-    p_sim.add_argument("--mode", help="perturbation mode number")
-    p_sim.add_argument("--probe", help="true/false: record divergence instead of failing")
-    p_sim.add_argument("--out", help="deviation CSV path")
-    p_sim.add_argument("--snapshot-out", dest="snapshot_out", help="final snapshot CSV path")
-    p_sim.set_defaults(handler=cmd_simulate)
+        for name in names:
+            # values stay strings: config values need the same parsing, in _settings
+            p.add_argument("--" + name.replace("_", "-"), help=SETTINGS[name][2])
+        if command == "verify":
+            p.add_argument("--corrupt-gamma-sign", action="store_true",
+                           help="fault-injection hook: corrupt the forcing sign")
     return parser
 
 
@@ -342,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.handler(args)
+        return COMMANDS[args.command][0](_settings(args), args)
     except BlowUp as exc:
         log.error("simulation diverged: %s", exc)
         return EXIT_DIVERGED

@@ -148,12 +148,12 @@ def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
 def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None) -> FieldState:
     """Sample a wave at t = 0 (and t = -dt into phi_prev) on the given domain.
 
-    dt defaults to 0.9*dx.  phi_prev is sampled from the exact wave, so the
-    initial data carry no start-up error.
+    dt defaults to SimConfig.cfl_guard*dx.  phi_prev is sampled from the
+    exact wave, so the initial data carry no start-up error.
     """
     x0, dx, twist, pinned = domain_grid(wave, n, domain)
     if dt is None:
-        dt = 0.9 * dx
+        dt = SimConfig.cfl_guard * dx
     if not 0.0 < dt <= dx:
         raise DomainError(f"dt must satisfy 0 < dt <= dx, got dt={dt}, dx={dx}")
     x = x0 + dx * np.arange(n)

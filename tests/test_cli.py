@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sgwaves.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    MAX_CONFIG_BYTES,
     _parse_grid,
     load_config,
     main,
@@ -51,6 +53,30 @@ class TestConfigFile:
         with pytest.raises(DomainError, match="binary.cfg"):
             load_config(str(cfg))
         assert main(["period", "--config", str(cfg), "--gamma", "2"]) == EXIT_INVALID
+
+    def test_unknown_key_exits_2(self, tmp_path, caplog):
+        # a misspelt key used to be ignored, and the run went ahead on the default
+        out = tmp_path / "dev.csv"
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("record_evry = 1\n")
+        assert main(["simulate", "--config", str(cfg), *TestSimulate.KINK, "--n", "128",
+                     "--t-end", "3", "--out", str(out)]) == EXIT_INVALID
+        assert "typo.cfg" in caplog.text and "record_evry" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size, code", [
+        (MAX_CONFIG_BYTES, EXIT_OK), (MAX_CONFIG_BYTES + 1, EXIT_INVALID)])
+    def test_size_cap(self, tmp_path, size, code):
+        cfg = tmp_path / "big.cfg"
+        line = "#" * 63 + "\n"
+        cfg.write_text(line * (size // 64) + "#" * (size % 64))
+        assert cfg.stat().st_size == size
+        assert main(["period", "--config", str(cfg), "--alpha", "1", "--gamma", "2"]) == code
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_file_exits_2(self):
+        # reading it whole used to grow until a MemoryError, exit 1
+        assert main(["period", "--config", "/dev/zero", "--alpha", "1", "--gamma", "2"]) == EXIT_INVALID
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -108,6 +134,14 @@ class TestEval:
         ])
         assert code == EXIT_INVALID
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["0:inf:4", "-1e308:1e308:4"])
+    def test_unbounded_grid_exits_2(self, tmp_path, grid):
+        # an infinite hi - lo used to write a first row of NaN and exit 0
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--alpha", "1", "--gamma", "0.5", "--branch", "decreasing1",
+                     f"--grid={grid}", "--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
 
     def test_grid_cap(self):
         with pytest.raises(DomainError):
@@ -188,6 +222,8 @@ class TestVerify:
 
 
 class TestSimulate:
+    KINK = ["--alpha", "0.5", "--gamma", "1.5", "--branch", "kink_array"]
+
     def args(self, out, extra=()):
         return [
             "simulate", "--alpha", "0.5", "--gamma", "1.5", "--branch", "kink_array",
@@ -310,6 +346,47 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
         _, rows = read_csv(out)
         assert len(rows) >= 2
+
+    @pytest.mark.parametrize("run", [
+        {"alpha": "0.5", "gamma": "1.5", "branch": "kink_array", "xi0": "-0.25",
+         "chirality": "-1", "domain": "circle", "m": "2", "n": "128", "dt": "0.02",
+         "t_end": "2", "cfl_guard": "0.8", "record_every": "30", "eps": "1e-3",
+         "mode": "2", "probe": "true"},
+        {"alpha": "0.5", "gamma": "0.5", "branch": "increasing2", "xi0": "0.5",
+         "chirality": "1", "domain": "segment", "x_lo": "-20", "x_hi": "20", "n": "128",
+         "dt": "0.2", "t_end": "4", "cfl_guard": "0.95", "record_every": "7",
+         "eps": "2e-3", "mode": "1", "probe": "false"},
+    ])
+    def test_config_file_matches_flags(self, tmp_path, capsys, run):
+        # every setting of simulate, from one config file and then as flags
+        outputs = []
+        for name in ("cfg", "flags"):
+            paths = {"out": tmp_path / f"{name}.csv", "snapshot_out": tmp_path / f"{name}_snap.csv"}
+            settings = {**run, **paths}
+            if name == "cfg":
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+                argv = ["--config", str(cfg)]
+            else:
+                argv = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+            assert main(["simulate", *argv]) == EXIT_OK
+            outputs.append([capsys.readouterr().out] + [p.read_bytes() for p in paths.values()])
+        assert outputs[0] == outputs[1]
+
+    def test_spelled_out_defaults_match_omitted(self, tmp_path, capsys):
+        outputs = []
+        for name, extra in [("omitted", []), ("spelled", [
+                "--xi0", "0", "--chirality", "1", "--m", "1", "--n", "256", "--cfl-guard", "0.9",
+                "--record-every", "50", "--probe", "false", "--eps", "0"])]:
+            out, snap = tmp_path / f"{name}.csv", tmp_path / f"{name}_snap.csv"
+            assert main(["simulate", *self.KINK, "--t-end", "3", "--out", str(out),
+                         "--snapshot-out", str(snap), *extra]) == EXIT_OK
+            outputs.append([capsys.readouterr().out, out.read_bytes(), snap.read_bytes()])
+        assert outputs[0] == outputs[1]
+
+    def test_unused_setting_still_parsed(self, tmp_path):
+        # with eps 0 the mode was never read, and a bad one went unnoticed
+        assert main(self.args(tmp_path / "dev.csv", ["--eps", "0", "--mode", "two"])) == EXIT_INVALID
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         out = tmp_path / "dev.csv"

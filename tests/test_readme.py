@@ -1,5 +1,8 @@
 import re
+import shlex
 from pathlib import Path
+
+from sgwaves.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,14 @@ def test_quickstart_runs(capsys):
     exec(compile(block, str(README), "exec"), namespace)
     assert max(namespace["report"].deviation) < 1e-2
     assert capsys.readouterr().out.strip()
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    # every sgwaves line of the README's command-line block must run as shown
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines and all(line.startswith("sgwaves ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
