@@ -14,6 +14,7 @@ logging verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -287,6 +288,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; each parse_args still returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgwaves",

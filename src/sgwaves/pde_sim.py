@@ -105,8 +105,8 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
+        if not (math.isfinite(self.t_end / self.dt) and self.t_end > 0.0):  # dt is finite and > 0
+            raise DomainError(f"t_end must be positive with t_end/dt finite, got {self.t_end}/{self.dt}")
         if not 0.0 < self.cfl_guard <= 1.0:
             raise DomainError("cfl_guard must lie in (0, 1]")
         if self.record_every < 1:
@@ -170,13 +170,15 @@ class _Leapfrog:
     stencil covers every point.  On a segment (twist 0) they feed only the
     end values, which are then pinned to the exact wave.  The buffers swap
     roles each step; each rotation's stencil views are sliced on first use.
+    `run(t, dt, steps)` steps t_next = t + dt each time and keeps `t`; on BlowUp,
+    `t` and `rotation` stay at the last good level and `nxt` holds the rejected one.
 
     Every result is bit-identical to the update written out whole: the same
     operations in the same order, on coefficients held as 0-d float64 arrays
     of the same values, with both pinned ends from one phi_eval call on the
     pair.  The blow-up guard first tests sum(phi**2) < threshold**2.  Its
-    terms are non-negative and rounding is monotone, so the computed sum is
-    at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
+    terms are non-negative and rounding is monotone, so the sum, in any order,
+    is at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
     and NaN or +-inf never pass.  Only a fail runs the exact max|phi| test.
     """
 
@@ -184,7 +186,7 @@ class _Leapfrog:
         if state.dt > state.dx:
             raise DomainError(f"CFL violation: dt={state.dt} > dx={state.dx}")
         # rows rotation, rotation + 1 and rotation + 2 (mod 3) hold t - dt, t and t + dt
-        self.buffers, self.rotation, self.views = np.empty((3, state.n + 2)), 0, [None] * 3
+        self.buffers, self.rotation, self.t, self.views = np.empty((3, state.n + 2)), 0, state.t, [None] * 3
         self.two_phi, self.tmp = np.empty((2, state.n))
         self.twist = state.twist
         self.buffers[0, 1:-1], self.buffers[1, 1:-1] = state.phi_prev, state.phi
@@ -192,9 +194,8 @@ class _Leapfrog:
         half = 0.5 * params.alpha * state.dt
         self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma = map(np.array, (
             2.0, state.dx * state.dx, state.dt * state.dt, 1.0 - half, 1.0 + half, params.gamma))
-        self.pinned = None
-        if state.pinned is not None:
-            self.pinned = (state.pinned, np.array([state.x0, state.x0 + (state.n - 1) * state.dx]))
+        self.pinned = None if state.pinned is None else (
+            state.pinned, np.array([state.x0, state.x0 + (state.n - 1) * state.dx]))
 
     prev = property(lambda self: self.buffers[self.rotation])
     cur = property(lambda self: self.buffers[(self.rotation + 1) % 3])
@@ -205,31 +206,40 @@ class _Leapfrog:
         self.views[r] = nxt, cur[1:-1], cur[2:], cur[:-2], prev[1:-1], nxt[1:-1]
         return self.views[r]
 
-    def advance(self, t_next: float) -> None:
-        """Write phi(t_next) into the spare buffer, check it, rotate; BlowUp keeps the last levels."""
-        nxt, phi, right, left, prev, out = self.views[self.rotation] or self._bind(self.rotation)
-        two_phi, tmp = self.two_phi, self.tmp
-        # (dt*dt*(phi_xx - sin(phi) - gamma) + 2*phi - keep*phi_prev) / gain, in this order
-        np.multiply(self.two, phi, two_phi)
-        np.subtract(right, two_phi, out)
-        np.add(out, left, out)
-        np.divide(out, self.dx2, out)
-        np.subtract(out, np.sin(phi, tmp), out)
-        np.subtract(out, self.gamma, out)
-        np.multiply(self.dt2, out, out)
-        np.add(out, two_phi, out)
-        np.subtract(out, np.multiply(self.keep, prev, tmp), out)
-        np.divide(out, self.gain, out)
-        if self.pinned is not None:
-            out[0], out[-1] = phi_eval(*self.pinned, t_next)
-        if not np.dot(out, out) < _BLOWUP_SQUARED and not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
-            raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
-        nxt[0], nxt[-1] = out[-1] - self.twist, out[0] + self.twist
-        self.rotation = (self.rotation + 1) % 3
+    def run(self, t: float, dt: float, steps: int) -> float:
+        """Take `steps` steps from time t; returns the time reached (see the class docstring)."""
+        two, dx2, dt2, keep, gain, gamma = self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma
+        two_phi, tmp, twist, pinned = self.two_phi, self.tmp, self.twist, self.pinned
+        multiply, subtract, add, divide, sin = np.multiply, np.subtract, np.add, np.divide, np.sin
+        r, views, bind = self.rotation, self.views, self._bind
+        for _ in range(steps):
+            nxt, phi, right, left, prev, out = views[r] or bind(r)
+            t_next = t + dt
+            # (dt*dt*(phi_xx - sin(phi) - gamma) + 2*phi - keep*phi_prev) / gain, in this order
+            multiply(two, phi, two_phi)
+            subtract(right, two_phi, out)
+            add(out, left, out)
+            divide(out, dx2, out)
+            subtract(out, sin(phi, tmp), out)
+            subtract(out, gamma, out)
+            multiply(dt2, out, out)
+            add(out, two_phi, out)
+            subtract(out, multiply(keep, prev, tmp), out)
+            divide(out, gain, out)
+            if pinned is not None:
+                out[0], out[-1] = phi_eval(*pinned, t_next)
+            if not out.dot(out) < _BLOWUP_SQUARED and not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
+                self.rotation, self.t = r, t
+                raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
+            nxt[0], nxt[-1] = out[-1] - twist, out[0] + twist
+            r = (r + 1) % 3
+            t = t_next
+        self.rotation, self.t = r, t
+        return t
 
-    def state(self, like: FieldState, t: float) -> FieldState:
+    def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
-        return replace(like, phi=self.cur[1:-1].copy(), phi_prev=self.prev[1:-1].copy(), t=t)
+        return replace(like, phi=self.cur[1:-1].copy(), phi_prev=self.prev[1:-1].copy(), t=self.t)
 
 
 def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
@@ -237,8 +247,8 @@ def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
     if dt != state.dt:
         raise DomainError("dt must match the state's leapfrog spacing")
     kernel = _Leapfrog(state, params)
-    kernel.advance(state.t + dt)
-    return replace(state, phi=kernel.cur[1:-1].copy(), phi_prev=state.phi, t=state.t + dt)
+    t = kernel.run(state.t, dt, 1)
+    return replace(state, phi=kernel.cur[1:-1].copy(), phi_prev=state.phi, t=t)
 
 
 def _perturbation_profile(state: FieldState, pert: Perturbation) -> np.ndarray:
@@ -273,30 +283,28 @@ def evolve(
 
     report = DeviationReport()
     kernel = _Leapfrog(state, params)
-    t = state.t
 
     def record() -> None:
         if reference is None:
             return
-        dev, shift = comoving_deviation(kernel.state(state, t), reference)
-        report.times.append(t)
+        dev, shift = comoving_deviation(kernel.state(state), reference)
+        report.times.append(kernel.t)
         report.deviation.append(dev)
         report.best_shift.append(shift)
 
     record()
     n_steps = int(math.ceil(config.t_end / config.dt - 1e-12))
-    for i in range(1, n_steps + 1):
+    # one kernel call per record interval: records at multiples of record_every and at the end
+    for done in range(0, n_steps, config.record_every):
         try:
-            kernel.advance(t + config.dt)
+            kernel.run(kernel.t, config.dt, min(config.record_every, n_steps - done))
         except BlowUp as exc:
-            if config.probe:
-                report.diverged_at = exc.t
-                break
-            raise
-        t += config.dt
-        if i % config.record_every == 0 or i == n_steps:
-            record()
-    report.final_state = kernel.state(state, t)
+            if not config.probe:
+                raise
+            report.diverged_at = exc.t
+            break
+        record()
+    report.final_state = kernel.state(state)
     return report
 
 
@@ -342,9 +350,14 @@ def _mean_square_mod_twist(phi: np.ndarray, ref: np.ndarray, twist: float) -> np
 
 
 def _phi_t_centered(state: FieldState, params: ModelParams) -> np.ndarray:
-    """Second-order phi_t at the current time via one internal step forward."""
-    nxt = step(state, params, state.dt)
-    return (nxt.phi - state.phi_prev) / (2.0 * state.dt)
+    """Second-order phi_t by one internal step forward; from the rejected level (maybe inf or nan) on BlowUp."""
+    kernel = _Leapfrog(state, params)
+    try:
+        kernel.run(state.t, state.dt, 1)
+        level = kernel.cur
+    except BlowUp:
+        level = kernel.nxt
+    return (level[1:-1] - state.phi_prev) / (2.0 * state.dt)
 
 
 def _phi_x_centered(state: FieldState) -> np.ndarray:
@@ -389,8 +402,8 @@ def write_snapshot_csv(state: FieldState, params: ModelParams, path) -> None:
     phi_t = _phi_t_centered(state, params)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,phi,phi_t\n")
-        for x, p, pt in zip(state.x, state.phi, phi_t):
-            fh.write(f"{x:.17g},{p:.17g},{pt:.17g}\n")
+        fh.writelines(f"{x:.17g},{p:.17g},{pt:.17g}\n"
+                      for x, p, pt in zip(state.x.tolist(), state.phi.tolist(), phi_t.tolist()))
 
 
 def write_deviation_csv(report: DeviationReport, path) -> None:

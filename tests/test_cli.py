@@ -1,10 +1,14 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgwaves import DomainError
+import sgwaves
+from sgwaves import DomainError, ModelParams, TravellingWave, WaveBranch, pde_sim
 from sgwaves.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -387,6 +391,58 @@ class TestSimulate:
     def test_unused_setting_still_parsed(self, tmp_path):
         # with eps 0 the mode was never read, and a bad one went unnoticed
         assert main(self.args(tmp_path / "dev.csv", ["--eps", "0", "--mode", "two"])) == EXIT_INVALID
+
+    def test_diverged_probe_with_snapshot(self, tmp_path, capsys):
+        # the snapshot used to step the diverged state once more and exit 3
+        run = ["simulate", "--alpha", "1", "--gamma", "1.5", "--branch", "kink_array",
+               "--domain", "circle", "--m", "1", "--n", "256", "--t-end", "5", "--eps", "1e7",
+               "--probe", "true", "--out", str(tmp_path / "d.csv")]
+        snap = tmp_path / "s.csv"
+        assert main(run) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(run + ["--snapshot-out", str(snap)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert "diverged_at = 0.019757291431052041" in plain
+        wave = TravellingWave(ModelParams(1.0, 1.5), WaveBranch.KINK_ARRAY)
+        state = pde_sim.init_from_wave(wave, 256, pde_sim.Circle(1))
+        config = pde_sim.SimConfig(dt=state.dt, t_end=5.0, perturbation=pde_sim.Perturbation(1e7, 1),
+                                   probe=True)
+        last_good = pde_sim.evolve(state, wave.params, config).final_state
+        header, rows = read_csv(snap)
+        assert header == ["x", "phi", "phi_t"]
+        assert [float(row[1]) for row in rows] == last_good.phi.tolist()
+
+    def test_step_count_overflow_exits_2(self, tmp_path):
+        # t_end/dt = inf used to reach math.ceil and end in an OverflowError traceback
+        args = self.args(tmp_path / "dev.csv")
+        args[args.index("--t-end") + 1] = "1e308"
+        assert main(args) == EXIT_INVALID
+        assert not (tmp_path / "dev.csv").exists()
+
+    def test_cached_parser_reruns_match_a_fresh_process(self, tmp_path, capsys):
+        # the parser is built once per process; A, B, A must give A's bytes twice
+        def run(tag, extra, out_dir=tmp_path):
+            out, snap = out_dir / f"{tag}.csv", out_dir / f"{tag}_snap.csv"
+            assert main(self.args(out, [*extra, "--snapshot-out", str(snap)])) == EXIT_OK
+            return [capsys.readouterr().out, out.read_bytes(), snap.read_bytes()]
+
+        a_args = ["--eps", "1e-3", "--mode", "2", "--xi0", "-6.8e-05"]
+        first = run("a1", a_args)
+        run("b", ["--chirality", "-1", "--probe", "true", "--record-every", "7"])
+        assert run("a2", a_args) == first
+        with pytest.raises(SystemExit):
+            main(["simulate", "--no-such-flag", "1"])
+        capsys.readouterr()
+        assert run("a3", a_args) == first
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(sgwaves.__file__).resolve().parents[1])}
+        argv = self.args(fresh / "a1.csv", [*a_args, "--snapshot-out", str(fresh / "a1_snap.csv")])
+        proc = subprocess.run([sys.executable, "-m", "sgwaves.cli", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        assert [proc.stdout, (fresh / "a1.csv").read_bytes(),
+                (fresh / "a1_snap.csv").read_bytes()] == first
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         out = tmp_path / "dev.csv"

@@ -311,6 +311,47 @@ class TestKernel:
             assert not np.shares_memory(final.phi_prev, buffer)
 
 
+    @pytest.mark.parametrize("gamma, diverging_step", [(2e6, 11), (1e6, 16)])
+    def test_probe_divergence_in_a_record_interval_matches_step_loop(self, gamma, diverging_step):
+        # with record_every 3, step 11 diverges mid-interval and step 16 right after a record
+        params, wave = ModelParams(1e-3, gamma), kink_array_wave()
+        state = uniform_state(value=0.0)
+        config = SimConfig(dt=state.dt, t_end=100.0, record_every=3, probe=True)
+        report = evolve(state, params, config, reference=wave)
+        expected, steps = [comoving_deviation(state, wave) + (state.t,)], 0
+        with pytest.raises(BlowUp) as info:
+            while True:
+                state = step(state, params, state.dt)
+                steps += 1
+                if steps % 3 == 0:
+                    expected.append(comoving_deviation(state, wave) + (state.t,))
+        assert steps + 1 == diverging_step
+        assert report.deviation == [e[0] for e in expected]
+        assert report.best_shift == [e[1] for e in expected]
+        assert report.times == [e[2] for e in expected]
+        assert report.diverged_at == info.value.t
+        final = report.final_state
+        assert final.t == state.t
+        assert np.array_equal(final.phi, state.phi)
+        assert np.array_equal(final.phi_prev, state.phi_prev)
+
+    def test_diverged_state_snapshot_takes_the_rejected_level(self, tmp_path, monkeypatch):
+        # the snapshot of a probe's last good state used to step into the
+        # divergence again and raise BlowUp
+        params = ModelParams(1e-3, 1e6)
+        state = uniform_state(value=0.0)
+        config = SimConfig(dt=state.dt, t_end=100.0, probe=True)
+        final = evolve(state, params, config).final_state
+        path = tmp_path / "snap.csv"
+        pde_sim.write_snapshot_csv(final, params, path)
+        assert math.isfinite(total_energy(final, params))
+        snap = np.loadtxt(path, delimiter=",", skiprows=1)
+        monkeypatch.setattr(pde_sim, "BLOWUP_THRESHOLD", math.inf)
+        rejected = reference_step(final, params, final.dt)
+        assert np.max(np.abs(rejected.phi)) > 1e6
+        assert np.array_equal(snap[:, 1], final.phi)
+        assert np.array_equal(snap[:, 2], (rejected.phi - final.phi_prev) / (2.0 * final.dt))
+
     def test_pinned_pair_matches_scalar_calls(self):
         # the kernel pins both segment ends with one phi_eval call on a pair
         rng = np.random.default_rng(11)
@@ -614,6 +655,11 @@ class TestSimConfigValidation:
                 Perturbation(amplitude, 1)
         with pytest.raises(DomainError):
             Perturbation(1e-3, 0)
+
+    def test_rejects_step_count_that_overflows(self):
+        # math.ceil(inf) used to raise OverflowError inside evolve
+        with pytest.raises(DomainError, match="t_end/dt"):
+            SimConfig(dt=1e-3, t_end=1e308)
 
     def test_winding_requires_circle(self):
         wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.DECREASING1)
