@@ -2,12 +2,16 @@
 
 Nothing in here reuses the closed-form solution formulas: the reduced ODE
 and the Riccati equation are integrated directly with a classic 4th-order
-fixed-step scheme (step-halved until two refinements agree), the period
-integral is done by adaptive Gauss-Kronrod bisection, and the field
-equation residual is measured with 5-point finite-difference stencils on
-phi_eval.  Agreement between these routes and the closed forms is what the
-test suite asserts.  `CHECKS` is the one table of those checks: each case
-list and threshold that `sgwaves verify` and the acceptance criteria read.
+fixed-step scheme, step-halved by the one loop `_halve_until_agree` until
+two refinements agree, the period integral is done by adaptive Gauss-Kronrod
+bisection, and the field equation residual is measured with 5-point
+finite-difference stencils on phi_eval.  `_check_interval` (finite a < b,
+tol > 0) is the one interval rule of both ODE spans and every quadrature; a
+NaN start, g0 = +-inf, non-finite g bounds or a non-finite stencil step raise
+DomainError before any work (y0 = +-inf is a start on a pole).  Agreement
+between these routes and the closed forms is what the test suite asserts.
+`CHECKS` is the one table of those checks: each case list and threshold that
+`sgwaves verify` and the acceptance criteria read.
 
 The RK4 loops are written out stage by stage, with no call per stage.  Each
 stage does the same floating-point operations in the same order as a step
@@ -23,6 +27,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -48,17 +53,37 @@ class OdeSolution:
     rk4_steps: int = 0   # RK4 steps over every refinement pass
 
 
-def _check_span(xi_span, tol):
-    lo, hi = float(xi_span[0]), float(xi_span[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise DomainError(f"xi span must be finite with hi > lo, got {xi_span}")
+def _check_interval(a, b, tol) -> None:
+    """The one input rule of every integration: finite a < b and tol > 0."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"integration interval must be finite with a < b, got ({a}, {b})")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    return lo, hi
 
 
-def _rk4_g(alpha: float, gamma: float, g0: float, n: int, h: float):
-    """n fixed RK4 steps of alpha*g' = gamma - sin(g); the n + 1 samples of g."""
+def _halve_until_agree(one_pass, distance, xi_span, tol: float, max_halvings: int):
+    """Double n in one_pass(lo, h, n) -> (samples, extra) until two passes agree.
+
+    They agree when distance(cur[::2], prev) < tol at every grid point the two
+    share.  Returns (xs, samples, extra, h, rk4_steps) of the agreeing pass."""
+    lo, hi = float(xi_span[0]), float(xi_span[1])
+    _check_interval(lo, hi, tol)
+    n = n0 = max(16, int(math.ceil((hi - lo) * 4.0)))
+    prev, _ = one_pass(lo, (hi - lo) / n, n)
+    for _ in range(max_halvings):
+        n *= 2
+        h = (hi - lo) / n
+        cur, extra = one_pass(lo, h, n)
+        if np.max(distance(cur[::2], prev)) < tol:
+            # every pass's steps: n0 + 2*n0 + ... + n = 2*n - n0
+            return lo + h * np.arange(n + 1), cur, extra, h, 2 * n - n0
+        prev = cur
+    raise NoConvergence(f"RK4 did not converge to tol={tol} in {max_halvings} halvings")
+
+
+def _rk4_g(params: ModelParams, g0: float, lo: float, h: float, n: int):
+    """n RK4 steps of size h of alpha*g' = gamma - sin(g) (autonomous: lo unused); (gs, None)."""
+    alpha, gamma = params.alpha, params.gamma
     sin = math.sin
     hh = 0.5 * h
     h6 = h / 6.0
@@ -71,7 +96,7 @@ def _rk4_g(alpha: float, gamma: float, g0: float, n: int, h: float):
         k4 = (gamma - sin(g + h * k3)) / alpha
         g = g + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         gs.append(g)
-    return np.frombuffer(gs)
+    return np.frombuffer(gs), None
 
 
 def ode_solve_g(
@@ -86,33 +111,23 @@ def ode_solve_g(
     The step is halved until two successive refinements differ by less than
     tol in sup norm at the shared grid points.
     """
-    lo, hi = _check_span(xi_span, tol)
-    alpha, gamma = params.alpha, params.gamma
-    n = max(16, int(math.ceil((hi - lo) * 4.0)))
-    prev = _rk4_g(alpha, gamma, g0, n, (hi - lo) / n)
-    steps = n
-    for _ in range(max_halvings):
-        n *= 2
-        h = (hi - lo) / n
-        cur = _rk4_g(alpha, gamma, g0, n, h)
-        steps += n
-        if np.max(np.abs(cur[::2] - prev)) < tol:
-            return OdeSolution(lo + h * np.arange(n + 1), cur, h, rk4_steps=steps)
-        prev = cur
-    raise NoConvergence(f"RK4 for g did not converge to tol={tol} in {max_halvings} halvings")
+    if not math.isfinite(g0):
+        raise DomainError(f"g0 must be finite, got {g0}")
+    xs, ys, _, h, steps = _halve_until_agree(
+        partial(_rk4_g, params, g0), lambda cur, prev: np.abs(cur - prev), xi_span, tol, max_halvings)
+    return OdeSolution(xs, ys, h, rk4_steps=steps)
 
 
-def _integrate_riccati(params: ModelParams, y0: float, lo: float, hi: float, n: int):
-    """One fixed-step projective RK4 pass through the Riccati equation.
+def _integrate_riccati(params: ModelParams, y0: float, lo: float, h: float, n: int):
+    """One projective RK4 pass of n steps of size h from lo through the Riccati equation.
 
     The state lives on the chart where it is small: y while |y| <= 1, else
     z = -1/y (which obeys 2*alpha*z' = gamma*(1+z^2) - 2*z, a regular flow
     with z = 0 exactly at the poles of y).  Chart swaps keep fixed-step RK4
     uniformly accurate; pole crossings are recorded where z changes sign.
-    Returns (angle samples atan(y), y samples, pole xis).
+    Returns (angle samples atan(y), (y samples, pole xis)).
     """
     alpha, gamma = params.alpha, params.gamma
-    h = (hi - lo) / n
     hh, h6, a2 = 0.5 * h, h / 6.0, 2.0 * alpha
     atan, inf = math.atan, math.inf
     y0 = float(y0)
@@ -145,7 +160,13 @@ def _integrate_riccati(params: ModelParams, y0: float, lo: float, hi: float, n: 
         if abs(v) > _CHART_SWAP:
             v = -1.0 / v
             s = -s
-    return np.frombuffer(angles), np.frombuffer(ys), poles
+    return np.frombuffer(angles), (np.frombuffer(ys), poles)
+
+
+def _projective_distance(cur, prev):
+    """|atan(y) difference| mod pi: on a pole, +pi/2 and -pi/2 coincide, not a pi jump."""
+    diff = np.abs(cur - prev)
+    return np.minimum(diff, math.pi - np.minimum(diff, math.pi))
 
 
 def ode_solve_y(
@@ -161,27 +182,15 @@ def ode_solve_y(
     z = -1/y near them and records each z zero crossing as a pole event.
     Refinement convergence is measured in atan(y), which stays bounded
     through the poles; samples where |y| exceeds 1e12 are flagged by the
-    nearest pole event rather than stored as huge values.
+    nearest pole event rather than stored as huge values.  y0 = +-inf is a
+    start on a pole.
     """
-    lo, hi = _check_span(xi_span, tol)
-    n = max(16, int(math.ceil((hi - lo) * 4.0)))
-    prev_angles, _, _ = _integrate_riccati(params, y0, lo, hi, n)
-    steps = n
-    for _ in range(max_halvings):
-        n *= 2
-        h = (hi - lo) / n
-        angles, ys, poles = _integrate_riccati(params, y0, lo, hi, n)
-        steps += n
-        # projective-line distance: atan(y) mod pi, so a sample that lands
-        # on a pole compares +pi/2 and -pi/2 as coincident, not a pi jump
-        diff = np.abs(angles[::2] - prev_angles)
-        diff = np.minimum(diff, math.pi - np.minimum(diff, math.pi))
-        if np.max(diff) < tol:
-            xs = lo + h * np.arange(n + 1)
-            keep = np.abs(ys) <= _BLOWUP_Y
-            return OdeSolution(xs[keep], ys[keep], h, poles, rk4_steps=steps)
-        prev_angles = angles
-    raise NoConvergence(f"RK4 for y did not converge to tol={tol} in {max_halvings} halvings")
+    if math.isnan(y0):
+        raise DomainError("y0 must not be NaN")
+    xs, _, (ys, poles), h, steps = _halve_until_agree(
+        partial(_integrate_riccati, params, y0), _projective_distance, xi_span, tol, max_halvings)
+    keep = np.abs(ys) <= _BLOWUP_Y
+    return OdeSolution(xs[keep], ys[keep], h, poles, rk4_steps=steps)
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule (QUADPACK values).
@@ -235,10 +244,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float, max_evals: int = MAX_
     error estimate; the panel with the largest estimate is split until the
     total estimate drops below tol.  f must accept numpy arrays.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if b <= a:
-        raise DomainError("adaptive quadrature expects b > a")
+    _check_interval(a, b, tol)
     value, err = _gk15(f, a, b)
     heap = [(-err, 0, a, b, value, err)]
     count = 1
@@ -260,6 +266,11 @@ def adaptive_quadrature(f, a: float, b: float, tol: float, max_evals: int = MAX_
     return math.fsum(item[4] for item in heap)
 
 
+def _xi_integrand(params: ModelParams):
+    """s -> alpha/(gamma - sin s), the integrand of both xi quadratures."""
+    return lambda s: params.alpha / (params.gamma - np.sin(s))
+
+
 def quad_period(params: ModelParams, tol: float = DEFAULT_QUAD_TOL,
                 max_evals: int = MAX_QUAD_EVALS) -> float:
     """Period integral alpha * int_0^{2pi} ds/(gamma - sin s) by quadrature.
@@ -267,14 +278,9 @@ def quad_period(params: ModelParams, tol: float = DEFAULT_QUAD_TOL,
     The integrand is smooth for gamma > 1 but develops a sharp peak at
     s = pi/2 as gamma -> 1+; adaptive bisection concentrates panels there.
     """
-    gamma = params.gamma
-    if gamma <= 1.0:
-        raise DomainError(f"period integral requires gamma > 1, got {gamma}")
-
-    def f(s):
-        return params.alpha / (gamma - np.sin(s))
-
-    return adaptive_quadrature(f, 0.0, TWO_PI, tol, max_evals)
+    if params.gamma <= 1.0:
+        raise DomainError(f"period integral requires gamma > 1, got {params.gamma}")
+    return adaptive_quadrature(_xi_integrand(params), 0.0, TWO_PI, tol, max_evals)
 
 
 def _singular_points_in(gamma: float, lo: float, hi: float) -> bool:
@@ -298,16 +304,14 @@ def implicit_xi_of_g(params: ModelParams, g_from: float, g_to: float,
     gamma - sin(s) anywhere on the closed path (endpoints included) makes
     the displacement divergent and raises DomainError.
     """
+    if not (math.isfinite(g_from) and math.isfinite(g_to)):
+        raise DomainError(f"g bounds must be finite, got ({g_from}, {g_to})")
     lo, hi = min(g_from, g_to), max(g_from, g_to)
     if _singular_points_in(params.gamma, lo, hi):
         raise DomainError("gamma - sin(s) vanishes on the integration path")
     if lo == hi:
         return 0.0
-
-    def f(s):
-        return params.alpha / (params.gamma - np.sin(s))
-
-    value = adaptive_quadrature(f, lo, hi, tol)
+    value = adaptive_quadrature(_xi_integrand(params), lo, hi, tol)
     return value if g_to >= g_from else -value
 
 
@@ -360,8 +364,8 @@ def pde_residual(wave: TravellingWave, x: float, t: float, h: float) -> float:
     phi is smooth through every pole of y, so any point is accepted,
     poles included.
     """
-    if not h > 0.0:
-        raise DomainError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h must be positive and finite, got {h}")
     off = h * np.arange(-2.0, 3.0)
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)

@@ -18,6 +18,7 @@ between the field and the reference wave minimized over spatial shifts.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -247,8 +248,8 @@ def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
     if dt != state.dt:
         raise DomainError("dt must match the state's leapfrog spacing")
     kernel = _Leapfrog(state, params)
-    t = kernel.run(state.t, dt, 1)
-    return replace(state, phi=kernel.cur[1:-1].copy(), phi_prev=state.phi, t=t)
+    kernel.run(state.t, dt, 1)
+    return kernel.state(state)
 
 
 def _perturbation_profile(state: FieldState, pert: Perturbation) -> np.ndarray:
@@ -349,25 +350,19 @@ def _mean_square_mod_twist(phi: np.ndarray, ref: np.ndarray, twist: float) -> np
     return np.mean(np.square(diff, out=diff), axis=-1)
 
 
-def _phi_t_centered(state: FieldState, params: ModelParams) -> np.ndarray:
-    """Second-order phi_t by one internal step forward; from the rejected level (maybe inf or nan) on BlowUp."""
+def _centered_derivatives(state: FieldState, params: ModelParams) -> tuple:
+    """Second-order (phi_t, phi_x) from one kernel step: phi_t by a centered difference in
+    time, phi_x in space on the ghost-padded level, one-sided at pinned ends."""
     kernel = _Leapfrog(state, params)
-    try:
+    with suppress(BlowUp):  # the rejected level (maybe inf or nan) is written all the same
         kernel.run(state.t, state.dt, 1)
-        level = kernel.cur
-    except BlowUp:
-        level = kernel.nxt
-    return (level[1:-1] - state.phi_prev) / (2.0 * state.dt)
-
-
-def _phi_x_centered(state: FieldState) -> np.ndarray:
+    _, ghosts, level = kernel.buffers  # t - dt, t, t + dt: a fresh kernel's rotation 0
     phi = state.phi
-    ghosts = np.concatenate(([phi[-1] - state.twist], phi, [phi[0] + state.twist]))
-    px = (ghosts[2:] - ghosts[:-2]) / (2.0 * state.dx)
+    phi_x = (ghosts[2:] - ghosts[:-2]) / (2.0 * state.dx)
     if state.pinned is not None:
-        px[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * state.dx)
-        px[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * state.dx)
-    return px
+        phi_x[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * state.dx)
+        phi_x[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * state.dx)
+    return (level[1:-1] - state.phi_prev) / (2.0 * state.dt), phi_x
 
 
 def total_energy(state: FieldState, params: ModelParams) -> float:
@@ -376,8 +371,7 @@ def total_energy(state: FieldState, params: ModelParams) -> float:
     Diagnostic only: the damping and forcing terms make the true dynamics
     non-conservative.
     """
-    phi_t = _phi_t_centered(state, params)
-    phi_x = _phi_x_centered(state)
+    phi_t, phi_x = _centered_derivatives(state, params)
     h = energy_density(state.phi, phi_t, phi_x, params.gamma)
     if state.pinned is None:
         return float(state.dx * np.sum(h))
@@ -399,7 +393,7 @@ def winding_number(state: FieldState) -> float:
 
 def write_snapshot_csv(state: FieldState, params: ModelParams, path) -> None:
     """Write the grid as CSV rows x,phi,phi_t (phi_t by centered difference)."""
-    phi_t = _phi_t_centered(state, params)
+    phi_t, _ = _centered_derivatives(state, params)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,phi,phi_t\n")
         fh.writelines(f"{x:.17g},{p:.17g},{pt:.17g}\n"

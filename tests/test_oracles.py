@@ -502,3 +502,49 @@ class TestKernelBitIdentity:
         sol = assert_matches_reference(params, g0, y0, *span)
         if params.gamma == 0.0 and y0 == math.inf:
             assert sol.xs.size == 0 and sol.ys.size == 0
+
+
+class TestNonFiniteInput:
+    """Non-finite input is a DomainError, raised before any integration work."""
+
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("an RK4 pass ran on non-finite input")
+
+        monkeypatch.setattr(oracles, "_rk4_g", fail)
+        monkeypatch.setattr(oracles, "_integrate_riccati", fail)
+
+    # a NaN start used to run all 20 halvings (about 33M RK4 steps) before
+    # NoConvergence; g0 = inf ended in a bare "math domain error"
+    @pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+    def test_ode_g_start(self, no_pass, g0):
+        with pytest.raises(DomainError):
+            ode_solve_g(ModelParams(1.0, 0.5), g0, (0.0, 1.0))
+
+    def test_ode_y_nan_start(self, no_pass):
+        # y0 = +-inf stays valid: a start on a pole (TestKernelBitIdentity)
+        with pytest.raises(DomainError):
+            ode_solve_y(ModelParams(1.0, 0.5), math.nan, (0.0, 1.0))
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+    def test_quadrature_bounds(self, a, b):
+        with pytest.raises(DomainError):
+            adaptive_quadrature(np.cos, a, b, 1e-9)
+
+    @pytest.mark.parametrize("gamma", [1.5, 0.5])
+    @pytest.mark.parametrize("g_from,g_to", [(math.nan, 1.0), (1.0, math.nan), (0.0, math.inf),
+                                             (-math.inf, 1.0)])
+    def test_implicit_xi_bounds(self, gamma, g_from, g_to):
+        with pytest.raises(DomainError):
+            implicit_xi_of_g(ModelParams(1.0, gamma), g_from, g_to)
+
+    def test_pde_residual_infinite_step(self):
+        w = TravellingWave(ModelParams(1.0, SQRT2), WaveBranch.KINK_ARRAY)
+        with pytest.raises(DomainError):
+            pde_residual(w, 0.0, 0.0, math.inf)
+
+
+def test_ode_solve_y_no_convergence_budget():
+    with pytest.raises(NoConvergence):
+        ode_solve_y(ModelParams(1.0, 0.5), 0.0, (0.0, 1.0), 1e-300, max_halvings=3)

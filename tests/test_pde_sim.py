@@ -31,6 +31,7 @@ from sgwaves import (
     xi_period,
 )
 from sgwaves import pde_sim
+from sgwaves.model import energy_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -666,3 +667,45 @@ class TestSimConfigValidation:
         state = init_from_wave(wave, 128, Segment(-20.0, 20.0))
         with pytest.raises(DomainError):
             winding_number(state)
+
+
+# Written-out copies of the derivatives the snapshot and total_energy used
+# first: phi_t through reference_step, phi_x on its own ghost padding.
+
+def reference_phi_t(state, params):
+    return (reference_step(state, params, state.dt).phi - state.phi_prev) / (2.0 * state.dt)
+
+
+def reference_phi_x(state):
+    phi = state.phi
+    ghosts = np.concatenate(([phi[-1] - state.twist], phi, [phi[0] + state.twist]))
+    px = (ghosts[2:] - ghosts[:-2]) / (2.0 * state.dx)
+    if state.pinned is not None:
+        px[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * state.dx)
+        px[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * state.dx)
+    return px
+
+
+def reference_total_energy(state, params):
+    h = energy_density(state.phi, reference_phi_t(state, params), reference_phi_x(state), params.gamma)
+    if state.pinned is None:
+        return float(state.dx * np.sum(h))
+    return float(state.dx * (0.5 * h[0] + np.sum(h[1:-1]) + 0.5 * h[-1]))
+
+
+class TestCenteredDerivatives:
+    """Snapshot phi_t and total_energy from one kernel, bit-identical to the references above."""
+
+    @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
+    def test_match_reference_bit_for_bit(self, make, tmp_path):
+        wave, start = make()
+        evolved = evolve(start, wave.params, SimConfig(dt=start.dt, t_end=30 * start.dt)).final_state
+        for state in (start, evolved):
+            phi_t, phi_x = pde_sim._centered_derivatives(state, wave.params)
+            assert np.array_equal(phi_t, reference_phi_t(state, wave.params))
+            assert np.array_equal(phi_x, reference_phi_x(state))
+            assert total_energy(state, wave.params) == reference_total_energy(state, wave.params)
+            path = tmp_path / "snap.csv"
+            pde_sim.write_snapshot_csv(state, wave.params, path)
+            snap = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert np.array_equal(snap[:, 2], reference_phi_t(state, wave.params))
