@@ -26,15 +26,11 @@ from .errors import BlowUp, DomainError, NoConvergence, SGWaveError
 from .model import (
     ConstantSolutions,
     ModelParams,
-    Regime,
-    RegimeKind,
-    classify,
     constant_solutions,
     energy_density,
     wrap_to,
 )
 from .oracles import (
-    IdentityReport,
     OdeSolution,
     adaptive_quadrature,
     identities_check,
@@ -72,13 +68,10 @@ __all__ = [
     "F_map",
     "FieldState",
     "FixedPoints",
-    "IdentityReport",
     "ModelParams",
     "NoConvergence",
     "OdeSolution",
     "Perturbation",
-    "Regime",
-    "RegimeKind",
     "SGWaveError",
     "Segment",
     "SimConfig",
@@ -86,7 +79,6 @@ __all__ = [
     "WaveBranch",
     "adaptive_quadrature",
     "branch_compatible",
-    "classify",
     "comoving_deviation",
     "constant_solutions",
     "energy_density",

@@ -96,25 +96,22 @@ class TravellingWave:
 
 @dataclass(frozen=True)
 class FixedPoints:
-    """Real roots of gamma*(1 + y^2) + 2*y = 0, when they exist."""
+    """Real roots of gamma*(1 + y^2) + 2*y = 0."""
 
     y_plus: float
     y_minus: float
-    real_valued: bool
 
 
 def y_fixed_points(params: ModelParams) -> FixedPoints:
     """Constant Riccati solutions y_- <= y_+ < 0, real only for 0 < gamma <= 1."""
     g = params.gamma
-    if g == 0.0:
-        raise DomainError("fixed-point quadratic degenerates at gamma = 0")
-    if g > 1.0:
-        return FixedPoints(math.nan, math.nan, False)
+    if not 0.0 < g <= 1.0:
+        raise DomainError(f"real fixed points require 0 < gamma <= 1, got {g}")
     root = math.sqrt((1.0 - g) * (1.0 + g))
     y_minus = -(1.0 + root) / g
     # product of the roots is 1; this form avoids cancellation for small gamma
     y_plus = -g / (1.0 + root)
-    return FixedPoints(y_plus, y_minus, True)
+    return FixedPoints(y_plus, y_minus)
 
 
 def subcritical_rate(params: ModelParams) -> float:

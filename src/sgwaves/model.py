@@ -1,4 +1,4 @@
-"""Parameters, regime classification, constant solutions and energy density.
+"""Parameters, constant solutions and energy density.
 
 The governing field equation is
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -42,50 +41,19 @@ class ModelParams:
             object.__setattr__(self, "flipped", True)
 
 
-class RegimeKind(Enum):
-    SUBCRITICAL = "subcritical"      # gamma < 1
-    CRITICAL = "critical"            # gamma == 1 exactly
-    SUPERCRITICAL = "supercritical"  # gamma > 1
-
-
-@dataclass(frozen=True)
-class Regime:
-    kind: RegimeKind
-    # discriminant 4/gamma^2 - 4 of the fixed-point quadratic; None at gamma == 0
-    delta: float | None
-
-
-def classify(params: ModelParams) -> Regime:
-    """Classify the forcing into the three structurally different cases.
-
-    The comparison with 1 is exact on purpose: the critical formulas differ
-    structurally, so silent tolerance-based switching would mask user intent.
-    """
-    g = params.gamma
-    delta = None if g == 0.0 else 4.0 / (g * g) - 4.0
-    if g < 1.0:
-        kind = RegimeKind.SUBCRITICAL
-    elif g == 1.0:
-        kind = RegimeKind.CRITICAL
-    else:
-        kind = RegimeKind.SUPERCRITICAL
-    return Regime(kind, delta)
-
-
 @dataclass(frozen=True)
 class ConstantSolutions:
     phi_s: float  # stable uniform state, -asin(gamma)
     phi_u: float  # unstable uniform state, asin(gamma) + pi (not reduced)
-    exists: bool
 
 
 def constant_solutions(params: ModelParams) -> ConstantSolutions:
     """Spatially uniform equilibria; they exist only for gamma <= 1."""
     g = params.gamma
     if g > 1.0:
-        return ConstantSolutions(math.nan, math.nan, False)
+        raise DomainError(f"uniform states require gamma <= 1, got {g}")
     a = math.asin(g)
-    return ConstantSolutions(-a, a + math.pi, True)
+    return ConstantSolutions(-a, a + math.pi)
 
 
 def energy_density(phi, phi_t, phi_x, gamma):

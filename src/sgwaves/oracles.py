@@ -5,11 +5,13 @@ and the Riccati equation are integrated directly with a classic 4th-order
 fixed-step scheme, step-halved by the one loop `_halve_until_agree` until
 two refinements agree, the period integral is done by adaptive Gauss-Kronrod
 bisection, and the field equation residual is measured with 5-point
-finite-difference stencils on phi_eval.  `_check_interval` (finite a < b,
-tol > 0) is the one interval rule of both ODE spans and every quadrature; a
-NaN start, g0 = +-inf, non-finite g bounds or a non-finite stencil step raise
-DomainError before any work (y0 = +-inf is a start on a pole).  Agreement
-between these routes and the closed forms is what the test suite asserts.
+finite-difference stencils on phi_eval.  `_check_interval` (a < b, both
+within half the largest double, tol > 0) is the one interval rule of both
+ODE spans and every quadrature; a NaN start, g0 = +-inf, non-finite g
+bounds, a non-finite stencil step or a first RK4 pass of more than
+MAX_RK4_STEPS steps raise DomainError before any work (y0 = +-inf is a
+start on a pole).  Agreement between these routes and the closed forms is
+what the test suite asserts.
 `CHECKS` is the one table of those checks: each case list and threshold that
 `sgwaves verify` and the acceptance criteria read.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,6 +41,8 @@ from .model import TWO_PI, ModelParams
 DEFAULT_ODE_TOL = 1e-9
 DEFAULT_QUAD_TOL = 1e-10
 MAX_QUAD_EVALS = 10**6
+MAX_RK4_STEPS = 2**22  # per refinement pass, like pde_sim.MAX_GRID_POINTS (32 MB of samples)
+_MAX_BOUND = sys.float_info.max / 2  # keeps the width b - a and every panel's pa + pb finite
 _BLOWUP_Y = 1e12     # |y| beyond this is reported as a pole in the samples
 _CHART_SWAP = 1.0    # |y| (or |z|) beyond this switches the projective chart
 
@@ -54,9 +59,9 @@ class OdeSolution:
 
 
 def _check_interval(a, b, tol) -> None:
-    """The one input rule of every integration: finite a < b and tol > 0."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"integration interval must be finite with a < b, got ({a}, {b})")
+    """The one input rule of every integration: a < b, |a|, |b| <= _MAX_BOUND and tol > 0."""
+    if not (a < b and abs(a) <= _MAX_BOUND and abs(b) <= _MAX_BOUND):
+        raise DomainError(f"integration interval needs a < b within +-{_MAX_BOUND}, got ({a}, {b})")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
 
@@ -65,13 +70,20 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float, max_halvings: in
     """Double n in one_pass(lo, h, n) -> (samples, extra) until two passes agree.
 
     They agree when distance(cur[::2], prev) < tol at every grid point the two
-    share.  Returns (xs, samples, extra, h, rk4_steps) of the agreeing pass."""
+    share.  Returns (xs, samples, extra, h, rk4_steps) of the agreeing pass.
+    No pass takes more than MAX_RK4_STEPS steps: a longer first pass is a
+    DomainError before any step, a longer doubling is NoConvergence."""
     lo, hi = float(xi_span[0]), float(xi_span[1])
     _check_interval(lo, hi, tol)
-    n = n0 = max(16, int(math.ceil((hi - lo) * 4.0)))
+    first = (hi - lo) * 4.0
+    if first > MAX_RK4_STEPS:
+        raise DomainError(f"span ({lo}, {hi}) needs more than {MAX_RK4_STEPS} RK4 steps per pass")
+    n = n0 = max(16, int(math.ceil(first)))
     prev, _ = one_pass(lo, (hi - lo) / n, n)
     for _ in range(max_halvings):
         n *= 2
+        if n > MAX_RK4_STEPS:
+            raise NoConvergence(f"RK4 did not converge to tol={tol} within {MAX_RK4_STEPS} steps per pass")
         h = (hi - lo) / n
         cur, extra = one_pass(lo, h, n)
         if np.max(distance(cur[::2], prev)) < tol:
@@ -315,16 +327,8 @@ def implicit_xi_of_g(params: ModelParams, g_from: float, g_to: float,
     return value if g_to >= g_from else -value
 
 
-@dataclass
-class IdentityReport:
-    """Absolute residuals of the closed-form trigonometric identities."""
-
-    gamma: float
-    residuals: dict[str, float]
-
-
-def identities_check(gamma: float) -> IdentityReport:
-    """Numeric residuals of the identities behind the F limits.
+def identities_check(gamma: float) -> dict[str, float]:
+    """Absolute residuals, by name, of the identities behind the F limits.
 
     Checked against theta = asin(gamma)/4: the two bisection square roots,
     the F values at both fixed points, tan(pi/8) = sqrt(2) - 1, and the
@@ -354,7 +358,7 @@ def identities_check(gamma: float) -> IdentityReport:
     else:
         y_minus = -(1.0 + root) / gamma
         res["F_minus"] = abs(F_map(y_minus) - tan_th)
-    return IdentityReport(gamma, res)
+    return res
 
 
 def pde_residual(wave: TravellingWave, x: float, t: float, h: float) -> float:
@@ -396,7 +400,7 @@ BRANCH_CASES = [  # one wave per non-constant branch: criteria 02, 03 and 05
 
 
 def _identity_max_residual() -> float:
-    return float(np.max([list(identities_check(float(gamma)).residuals.values())
+    return float(np.max([list(identities_check(float(gamma)).values())
                          for gamma in np.linspace(0.0, 1.0, 101)]))
 
 

@@ -118,9 +118,8 @@ class TestFixedPoints:
         assert fp.y_minus == pytest.approx(-3.732050807568877, abs=1e-14)
 
     def test_complex_above_one(self):
-        fp = y_fixed_points(ModelParams(1.0, 2.0))
-        assert not fp.real_valued
-        assert math.isnan(fp.y_plus)
+        with pytest.raises(DomainError):
+            y_fixed_points(ModelParams(1.0, 2.0))
 
     def test_degenerate_at_zero(self):
         with pytest.raises(DomainError):

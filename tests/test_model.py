@@ -6,8 +6,6 @@ import pytest
 from sgwaves import (
     DomainError,
     ModelParams,
-    RegimeKind,
-    classify,
     constant_solutions,
     energy_density,
     wrap_to,
@@ -34,41 +32,9 @@ class TestModelParams:
         assert not ModelParams(1.0, 0.25).flipped
 
 
-class TestClassify:
-    @pytest.mark.parametrize(
-        "alpha,gamma,kind,delta",
-        [
-            (0.5, 0.5, RegimeKind.SUBCRITICAL, 12.0),
-            (1.0, 1.0, RegimeKind.CRITICAL, 0.0),
-            (1.0, 2.0, RegimeKind.SUPERCRITICAL, -3.0),
-        ],
-    )
-    def test_examples(self, alpha, gamma, kind, delta):
-        regime = classify(ModelParams(alpha, gamma))
-        assert regime.kind is kind
-        assert regime.delta == pytest.approx(delta, abs=1e-14)
-
-    def test_gamma_zero_has_no_discriminant(self):
-        regime = classify(ModelParams(1.0, 0.0))
-        assert regime.kind is RegimeKind.SUBCRITICAL
-        assert regime.delta is None
-
-    def test_partition(self):
-        # the three regimes partition gamma >= 0
-        for gamma in np.linspace(0.0, 3.0, 301):
-            kind = classify(ModelParams(1.0, float(gamma))).kind
-            expected = (
-                RegimeKind.SUBCRITICAL if gamma < 1.0
-                else RegimeKind.CRITICAL if gamma == 1.0
-                else RegimeKind.SUPERCRITICAL
-            )
-            assert kind is expected
-
-
 class TestConstantSolutions:
     def test_gamma_zero(self):
         cs = constant_solutions(ModelParams(1.0, 0.0))
-        assert cs.exists
         assert cs.phi_s == 0.0
         assert cs.phi_u == pytest.approx(math.pi, abs=1e-15)
 
@@ -78,8 +44,8 @@ class TestConstantSolutions:
         assert cs.phi_u == pytest.approx(7 * math.pi / 6, abs=1e-15)
 
     def test_absent_above_one(self):
-        cs = constant_solutions(ModelParams(1.0, 1.5))
-        assert not cs.exists
+        with pytest.raises(DomainError):
+            constant_solutions(ModelParams(1.0, 1.5))
 
     def test_degenerate_at_one(self):
         cs = constant_solutions(ModelParams(1.0, 1.0))

@@ -181,30 +181,30 @@ class TestImplicitXiOfG:
 
 class TestIdentities:
     def test_critical_residuals(self):
-        report = identities_check(1.0)
-        assert max(report.residuals.values()) < 1e-12
-        assert report.residuals["pi8"] < 1e-15
+        residuals = identities_check(1.0)
+        assert max(residuals.values()) < 1e-12
+        assert residuals["pi8"] < 1e-15
 
     def test_half_f_plus_value(self):
         # tan(37.5 degrees), frozen from 50-digit evaluation
         params = ModelParams(1.0, 0.5)
         f_plus = F_map(y_fixed_points(params).y_plus)
         assert f_plus == pytest.approx(0.7673269879789604, abs=1e-12)
-        assert identities_check(0.5).residuals["F_plus"] < 1e-12
+        assert identities_check(0.5)["F_plus"] < 1e-12
 
     def test_gamma_zero_convention(self):
-        report = identities_check(0.0)
-        assert report.residuals["F_minus"] == 0.0
-        others = {k: v for k, v in report.residuals.items() if k != "F_minus"}
+        residuals = identities_check(0.0)
+        assert residuals["F_minus"] == 0.0
+        others = {k: v for k, v in residuals.items() if k != "F_minus"}
         assert max(others.values()) < 1e-12
 
     def test_grid_of_forcings(self):
         for gamma in np.linspace(0.0, 1.0, 101):
-            report = identities_check(float(gamma))
-            assert set(report.residuals) == {
+            residuals = identities_check(float(gamma))
+            assert set(residuals) == {
                 "zaza", "zaza2", "F_plus", "F_minus", "pi8", "rationalize_sin4",
             }
-            assert max(report.residuals.values()) < 1e-12
+            assert max(residuals.values()) < 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -215,8 +215,8 @@ class TestIdentities:
 
 def with_one_nan(out):
     """`out` with one value replaced by NaN: a scalar, an array's middle entry or a residual."""
-    if isinstance(out, oracles.IdentityReport):
-        return oracles.IdentityReport(out.gamma, {**out.residuals, "pi8": math.nan})
+    if isinstance(out, dict):
+        return {**out, "pi8": math.nan}
     if np.ndim(out) == 0:
         return math.nan
     out = np.array(out, dtype=float)
@@ -504,16 +504,17 @@ class TestKernelBitIdentity:
             assert sol.xs.size == 0 and sol.ys.size == 0
 
 
+@pytest.fixture
+def no_pass(monkeypatch):
+    def fail(*args):
+        raise AssertionError("an RK4 pass ran on input it should have rejected")
+
+    monkeypatch.setattr(oracles, "_rk4_g", fail)
+    monkeypatch.setattr(oracles, "_integrate_riccati", fail)
+
+
 class TestNonFiniteInput:
     """Non-finite input is a DomainError, raised before any integration work."""
-
-    @pytest.fixture
-    def no_pass(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("an RK4 pass ran on non-finite input")
-
-        monkeypatch.setattr(oracles, "_rk4_g", fail)
-        monkeypatch.setattr(oracles, "_integrate_riccati", fail)
 
     # a NaN start used to run all 20 halvings (about 33M RK4 steps) before
     # NoConvergence; g0 = inf ended in a bare "math domain error"
@@ -543,6 +544,49 @@ class TestNonFiniteInput:
         w = TravellingWave(ModelParams(1.0, SQRT2), WaveBranch.KINK_ARRAY)
         with pytest.raises(DomainError):
             pde_residual(w, 0.0, 0.0, math.inf)
+
+    # finite bounds whose width (first and last pair) or panel midpoint
+    # (second pair) overflows: both quadratures returned nan
+    @pytest.mark.parametrize("a,b", [(-1e308, 1e308), (1e308, 1.7e308),
+                                     (np.float64(-1e308), np.float64(1e308))])
+    def test_overflowing_interval(self, a, b):
+        with pytest.raises(DomainError):
+            adaptive_quadrature(np.cos, a, b, 1e-9)
+        with pytest.raises(DomainError):
+            implicit_xi_of_g(ModelParams(1.0, 1.5), a, b)
+
+    @pytest.mark.parametrize("solve", [ode_solve_g, ode_solve_y])
+    def test_ode_overflowing_span(self, no_pass, solve):
+        # ended in an OverflowError from math.ceil(inf)
+        with pytest.raises(DomainError):
+            solve(ModelParams(1.0, 0.5), 0.0, (-1e308, 1e308))
+
+
+class TestRk4StepCap:
+    """No RK4 pass takes more than oracles.MAX_RK4_STEPS steps."""
+
+    @pytest.mark.parametrize("solve", [ode_solve_g, ode_solve_y])
+    def test_long_first_pass_rejected(self, no_pass, solve):
+        # the span of 1e12 asked for a first pass of 4e12 steps
+        with pytest.raises(DomainError):
+            solve(ModelParams(1.0, 0.5), 0.0, (0.0, 1e12))
+
+    @pytest.mark.parametrize("solve,rk4_pass", [(ode_solve_g, "_rk4_g"),
+                                                (ode_solve_y, "_integrate_riccati")])
+    def test_doubling_past_cap(self, monkeypatch, solve, rk4_pass):
+        monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 64)
+        original = getattr(oracles, rk4_pass)
+        steps = []
+
+        def counted(*args):
+            steps.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(oracles, rk4_pass, counted)
+        # the budget of 4 halvings alone would allow passes of up to 16 * 2**4 = 256 steps
+        with pytest.raises(NoConvergence):
+            solve(ModelParams(1.0, 0.5), 0.0, (0.0, 4.0), 1e-300, max_halvings=4)
+        assert steps == [16, 32, 64]
 
 
 def test_ode_solve_y_no_convergence_budget():

@@ -2,14 +2,16 @@ import re
 import shlex
 from pathlib import Path
 
+import sgwaves
 from sgwaves.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_quickstart_runs(capsys):
+def test_quickstart_runs(capsys, tmp_path, monkeypatch):
     # the README's first python block is the library quickstart; it must keep
-    # running against the public API
+    # running against the public API, and any file it writes lands in tmp_path
+    monkeypatch.chdir(tmp_path)
     block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
@@ -26,3 +28,11 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_public_names_resolve_once():
+    # `from sgwaves import *` fails on a name in __all__ that the package lacks
+    namespace = {}
+    exec("from sgwaves import *", namespace)
+    assert len(sgwaves.__all__) == len(set(sgwaves.__all__))
+    assert set(sgwaves.__all__) <= namespace.keys()
