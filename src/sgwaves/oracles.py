@@ -10,8 +10,9 @@ within half the largest double, tol > 0) is the one interval rule of both
 ODE spans and every quadrature; a NaN start, g0 = +-inf, non-finite g
 bounds, a non-finite stencil step or a first RK4 pass of more than
 MAX_RK4_STEPS steps raise DomainError before any work (y0 = +-inf is a
-start on a pole).  Agreement between these routes and the closed forms is
-what the test suite asserts.
+start on a pole).  MAX_RK4_STEPS and MAX_QUAD_EVALS, read at call time, are
+the only work bounds.  Agreement between these routes and the closed forms
+is what the test suite asserts.
 `CHECKS` is the one table of those checks: each case list and threshold that
 `sgwaves verify` and the acceptance criteria read.
 
@@ -66,13 +67,13 @@ def _check_interval(a, b, tol) -> None:
         raise DomainError(f"tol must be positive, got {tol}")
 
 
-def _halve_until_agree(one_pass, distance, xi_span, tol: float, max_halvings: int):
+def _halve_until_agree(one_pass, distance, xi_span, tol: float):
     """Double n in one_pass(lo, h, n) -> (samples, extra) until two passes agree.
 
     They agree when distance(cur[::2], prev) < tol at every grid point the two
     share.  Returns (xs, samples, extra, h, rk4_steps) of the agreeing pass.
-    No pass takes more than MAX_RK4_STEPS steps: a longer first pass is a
-    DomainError before any step, a longer doubling is NoConvergence."""
+    MAX_RK4_STEPS, read at call time, bounds every pass: a longer first pass
+    is a DomainError before any step, a longer doubling is NoConvergence."""
     lo, hi = float(xi_span[0]), float(xi_span[1])
     _check_interval(lo, hi, tol)
     first = (hi - lo) * 4.0
@@ -80,17 +81,14 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float, max_halvings: in
         raise DomainError(f"span ({lo}, {hi}) needs more than {MAX_RK4_STEPS} RK4 steps per pass")
     n = n0 = max(16, int(math.ceil(first)))
     prev, _ = one_pass(lo, (hi - lo) / n, n)
-    for _ in range(max_halvings):
-        n *= 2
-        if n > MAX_RK4_STEPS:
-            raise NoConvergence(f"RK4 did not converge to tol={tol} within {MAX_RK4_STEPS} steps per pass")
+    while (n := 2 * n) <= MAX_RK4_STEPS:
         h = (hi - lo) / n
         cur, extra = one_pass(lo, h, n)
         if np.max(distance(cur[::2], prev)) < tol:
             # every pass's steps: n0 + 2*n0 + ... + n = 2*n - n0
             return lo + h * np.arange(n + 1), cur, extra, h, 2 * n - n0
         prev = cur
-    raise NoConvergence(f"RK4 did not converge to tol={tol} in {max_halvings} halvings")
+    raise NoConvergence(f"RK4 did not converge to tol={tol} within {MAX_RK4_STEPS} steps per pass")
 
 
 def _rk4_g(params: ModelParams, g0: float, lo: float, h: float, n: int):
@@ -111,13 +109,7 @@ def _rk4_g(params: ModelParams, g0: float, lo: float, h: float, n: int):
     return np.frombuffer(gs), None
 
 
-def ode_solve_g(
-    params: ModelParams,
-    g0: float,
-    xi_span,
-    tol: float = DEFAULT_ODE_TOL,
-    max_halvings: int = 20,
-) -> OdeSolution:
+def ode_solve_g(params: ModelParams, g0: float, xi_span, tol: float = DEFAULT_ODE_TOL) -> OdeSolution:
     """Integrate alpha*g' = gamma - sin(g) over the span by fixed-step RK4.
 
     The step is halved until two successive refinements differ by less than
@@ -126,7 +118,7 @@ def ode_solve_g(
     if not math.isfinite(g0):
         raise DomainError(f"g0 must be finite, got {g0}")
     xs, ys, _, h, steps = _halve_until_agree(
-        partial(_rk4_g, params, g0), lambda cur, prev: np.abs(cur - prev), xi_span, tol, max_halvings)
+        partial(_rk4_g, params, g0), lambda cur, prev: np.abs(cur - prev), xi_span, tol)
     return OdeSolution(xs, ys, h, rk4_steps=steps)
 
 
@@ -181,13 +173,7 @@ def _projective_distance(cur, prev):
     return np.minimum(diff, math.pi - np.minimum(diff, math.pi))
 
 
-def ode_solve_y(
-    params: ModelParams,
-    y0: float,
-    xi_span,
-    tol: float = DEFAULT_ODE_TOL,
-    max_halvings: int = 20,
-) -> OdeSolution:
+def ode_solve_y(params: ModelParams, y0: float, xi_span, tol: float = DEFAULT_ODE_TOL) -> OdeSolution:
     """Integrate the Riccati equation 2*alpha*y' = 2*y + gamma*(1 + y^2).
 
     Blow-ups of y are coordinate artifacts: the integration swaps to
@@ -200,7 +186,7 @@ def ode_solve_y(
     if math.isnan(y0):
         raise DomainError("y0 must not be NaN")
     xs, _, (ys, poles), h, steps = _halve_until_agree(
-        partial(_integrate_riccati, params, y0), _projective_distance, xi_span, tol, max_halvings)
+        partial(_integrate_riccati, params, y0), _projective_distance, xi_span, tol)
     keep = np.abs(ys) <= _BLOWUP_Y
     return OdeSolution(xs[keep], ys[keep], h, poles, rk4_steps=steps)
 
@@ -249,32 +235,42 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return ik, abs(ik - ig)
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float, max_evals: int = MAX_QUAD_EVALS) -> float:
+def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] to absolute tolerance tol by panel bisection.
 
     Each panel carries a 15-point Kronrod value plus a 7-point embedded
     error estimate; the panel with the largest estimate is split until the
-    total estimate drops below tol.  f must accept numpy arrays.
+    total estimate, an exact fsum, drops below tol.  MAX_QUAD_EVALS, read at
+    call time, bounds the evaluations.  f must accept numpy arrays.
+
+    A running total of the panel errors spares most fsums.  Its three
+    roundings per split are each at most half an ulp of their result, so
+    `drift` (a whole ulp each) bounds |running - exact sum|: a skipped fsum has
+    exact sum >= running - drift > tol and, rounding being monotone, would have
+    read > tol too.  So the splits are those of an fsum at every split.
     """
     _check_interval(a, b, tol)
     value, err = _gk15(f, a, b)
     heap = [(-err, 0, a, b, value, err)]
-    count = 1
-    evals = 15
-    total_err = err
+    count = 1  # panels made, 15 evaluations each
+    total_err = running = err
+    drift = 0.0
     while total_err > tol:
-        if evals >= max_evals:
-            raise NoConvergence(
-                f"quadrature tolerance {tol} unreachable within {max_evals} evaluations"
-            )
+        if 15 * count >= MAX_QUAD_EVALS:
+            raise NoConvergence(f"quadrature tolerance {tol} unreachable within {MAX_QUAD_EVALS} evaluations")
         _, _, pa, pb, pv, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         lv, le = _gk15(f, pa, pm)
         rv, re = _gk15(f, pm, pb)
-        evals += 30
         heapq.heappush(heap, (-le, (count := count + 1), pa, pm, lv, le))
         heapq.heappush(heap, (-re, (count := count + 1), pm, pb, rv, re))
-        total_err = math.fsum(item[5] for item in heap)
+        pair = le + re
+        change = pair - perr
+        running += change
+        drift += math.ulp(pair) + math.ulp(change) + math.ulp(running)
+        if not running - drift > tol:
+            total_err = running = math.fsum(item[5] for item in heap)
+            drift = math.ulp(running)
     return math.fsum(item[4] for item in heap)
 
 
@@ -283,8 +279,7 @@ def _xi_integrand(params: ModelParams):
     return lambda s: params.alpha / (params.gamma - np.sin(s))
 
 
-def quad_period(params: ModelParams, tol: float = DEFAULT_QUAD_TOL,
-                max_evals: int = MAX_QUAD_EVALS) -> float:
+def quad_period(params: ModelParams, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Period integral alpha * int_0^{2pi} ds/(gamma - sin s) by quadrature.
 
     The integrand is smooth for gamma > 1 but develops a sharp peak at
@@ -292,7 +287,7 @@ def quad_period(params: ModelParams, tol: float = DEFAULT_QUAD_TOL,
     """
     if params.gamma <= 1.0:
         raise DomainError(f"period integral requires gamma > 1, got {params.gamma}")
-    return adaptive_quadrature(_xi_integrand(params), 0.0, TWO_PI, tol, max_evals)
+    return adaptive_quadrature(_xi_integrand(params), 0.0, TWO_PI, tol)
 
 
 def _singular_points_in(gamma: float, lo: float, hi: float) -> bool:

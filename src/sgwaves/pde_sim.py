@@ -18,6 +18,7 @@ between the field and the reference wave minimized over spatial shifts.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
@@ -146,6 +147,12 @@ def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
     raise DomainError(f"unknown domain type {type(domain).__name__}")
 
 
+def _check_spacing(dx: float, dt: float) -> None:
+    """The one grid rule of init_from_wave and the kernel, NaN-safe: 0 < dt <= dx, normal squares."""
+    if not (0.0 < dt <= dx and dt * dt >= sys.float_info.min and dx * dx <= sys.float_info.max):
+        raise DomainError(f"grid needs 0 < dt <= dx with dt^2 and dx^2 normal doubles, got dt={dt}, dx={dx}")
+
+
 def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None) -> FieldState:
     """Sample a wave at t = 0 (and t = -dt into phi_prev) on the given domain.
 
@@ -155,11 +162,13 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
     x0, dx, twist, pinned = domain_grid(wave, n, domain)
     if dt is None:
         dt = SimConfig.cfl_guard * dx
-    if not 0.0 < dt <= dx:
-        raise DomainError(f"dt must satisfy 0 < dt <= dx, got dt={dt}, dx={dx}")
+    _check_spacing(dx, dt)
     x = x0 + dx * np.arange(n)
     phi = np.asarray(phi_eval(wave, x, 0.0), dtype=float)
     phi_prev = np.asarray(phi_eval(wave, x, -dt), dtype=float)
+    if not np.all(np.abs([phi, phi_prev]) <= BLOWUP_THRESHOLD):  # the kernel's blow-up guard, NaN too
+        raise DomainError(f"initial |phi| exceeds {BLOWUP_THRESHOLD:g}: shift xi0 by whole periods "
+                          "towards 0, or use fewer windings m")
     return FieldState(dx=dx, phi=phi, phi_prev=phi_prev, t=0.0, dt=dt,
                       x0=x0, twist=twist, pinned=pinned)
 
@@ -171,7 +180,7 @@ class _Leapfrog:
     stencil covers every point.  On a segment (twist 0) they feed only the
     end values, which are then pinned to the exact wave.  The buffers swap
     roles each step; each rotation's stencil views are sliced on first use.
-    `run(t, dt, steps)` steps t_next = t + dt each time and keeps `t`; on BlowUp,
+    `run(steps)` steps t_next = t + dt from the kernel's own `t` and `dt`; on BlowUp,
     `t` and `rotation` stay at the last good level and `nxt` holds the rejected one.
 
     Every result is bit-identical to the update written out whole: the same
@@ -184,12 +193,11 @@ class _Leapfrog:
     """
 
     def __init__(self, state: FieldState, params: ModelParams):
-        if state.dt > state.dx:
-            raise DomainError(f"CFL violation: dt={state.dt} > dx={state.dx}")
+        _check_spacing(state.dx, state.dt)
         # rows rotation, rotation + 1 and rotation + 2 (mod 3) hold t - dt, t and t + dt
         self.buffers, self.rotation, self.t, self.views = np.empty((3, state.n + 2)), 0, state.t, [None] * 3
         self.two_phi, self.tmp = np.empty((2, state.n))
-        self.twist = state.twist
+        self.twist, self.dt = state.twist, state.dt
         self.buffers[0, 1:-1], self.buffers[1, 1:-1] = state.phi_prev, state.phi
         self.buffers[1, 0], self.buffers[1, -1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
         half = 0.5 * params.alpha * state.dt
@@ -207,12 +215,12 @@ class _Leapfrog:
         self.views[r] = nxt, cur[1:-1], cur[2:], cur[:-2], prev[1:-1], nxt[1:-1]
         return self.views[r]
 
-    def run(self, t: float, dt: float, steps: int) -> float:
-        """Take `steps` steps from time t; returns the time reached (see the class docstring)."""
+    def run(self, steps: int) -> None:
+        """Take `steps` steps from the kernel's time `t` (see the class docstring)."""
         two, dx2, dt2, keep, gain, gamma = self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma
-        two_phi, tmp, twist, pinned = self.two_phi, self.tmp, self.twist, self.pinned
+        two_phi, tmp, twist, pinned, dt = self.two_phi, self.tmp, self.twist, self.pinned, self.dt
         multiply, subtract, add, divide, sin = np.multiply, np.subtract, np.add, np.divide, np.sin
-        r, views, bind = self.rotation, self.views, self._bind
+        r, t, views, bind = self.rotation, self.t, self.views, self._bind
         for _ in range(steps):
             nxt, phi, right, left, prev, out = views[r] or bind(r)
             t_next = t + dt
@@ -236,7 +244,6 @@ class _Leapfrog:
             r = (r + 1) % 3
             t = t_next
         self.rotation, self.t = r, t
-        return t
 
     def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
@@ -248,7 +255,7 @@ def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
     if dt != state.dt:
         raise DomainError("dt must match the state's leapfrog spacing")
     kernel = _Leapfrog(state, params)
-    kernel.run(state.t, dt, 1)
+    kernel.run(1)
     return kernel.state(state)
 
 
@@ -298,7 +305,7 @@ def evolve(
     # one kernel call per record interval: records at multiples of record_every and at the end
     for done in range(0, n_steps, config.record_every):
         try:
-            kernel.run(kernel.t, config.dt, min(config.record_every, n_steps - done))
+            kernel.run(min(config.record_every, n_steps - done))
         except BlowUp as exc:
             if not config.probe:
                 raise
@@ -355,7 +362,7 @@ def _centered_derivatives(state: FieldState, params: ModelParams) -> tuple:
     time, phi_x in space on the ghost-padded level, one-sided at pinned ends."""
     kernel = _Leapfrog(state, params)
     with suppress(BlowUp):  # the rejected level (maybe inf or nan) is written all the same
-        kernel.run(state.t, state.dt, 1)
+        kernel.run(1)
     _, ghosts, level = kernel.buffers  # t - dt, t, t + dt: a fresh kernel's rotation 0
     phi = state.phi
     phi_x = (ghosts[2:] - ghosts[:-2]) / (2.0 * state.dx)

@@ -419,6 +419,24 @@ class TestSimulate:
         assert main(args) == EXIT_INVALID
         assert not (tmp_path / "dev.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        "--alpha 1e-300 --gamma 1.5 --branch kink_array",  # dx*dx = 0: divide-by-zero, then exit 3
+        "--alpha 1 --gamma 0.5 --branch increasing2 --domain segment --x-lo 0 --x-hi 1e300 "
+        "--t-end 1e299",  # dx*dx = inf: "diverged" at the first step
+        "--alpha 1 --gamma 1.5 --branch kink_array --dt 1e-300",  # dt*dt = 0: 1e300 steps
+        "--alpha 1 --gamma 1.5 --branch kink_array --xi0 1e7",  # |phi| ~ 1.1e7: "diverged"
+        "--alpha 1 --gamma 1.5 --branch kink_array --m 1000000000",  # |phi| ~ 6e9: "diverged"
+        "--alpha 1 --gamma 1.5 --branch kink_array --xi0 1e300",  # the guard's dot overflowed
+    ])
+    def test_degenerate_grid_or_field_exits_2(self, tmp_path, argv):
+        argv = ["simulate", "--n", "64", "--t-end", "1", *argv.split(), "--out", str(tmp_path / "d.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(sgwaves.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sgwaves.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "d.csv").exists()
+
     def test_cached_parser_reruns_match_a_fresh_process(self, tmp_path, capsys):
         # the parser is built once per process; A, B, A must give A's bytes twice
         def run(tag, extra, out_dir=tmp_path):

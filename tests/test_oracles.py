@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -62,9 +64,10 @@ class TestOdeSolveG:
         with pytest.raises(DomainError):
             ode_solve_g(ModelParams(1.0, 0.5), 0.0, (0.0, 1.0), 0.0)
 
-    def test_no_convergence_budget(self):
+    def test_no_convergence_budget(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 64)
         with pytest.raises(NoConvergence):
-            ode_solve_g(ModelParams(1.0, 0.5), 0.0, (0.0, 1.0), 1e-300, max_halvings=3)
+            ode_solve_g(ModelParams(1.0, 0.5), 0.0, (0.0, 1.0), 1e-300)
 
 
 class TestOdeSolveY:
@@ -120,9 +123,10 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             quad_period(ModelParams(1.0, 1.0))
 
-    def test_eval_budget(self):
+    def test_eval_budget(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_QUAD_EVALS", 2000)
         with pytest.raises(NoConvergence):
-            quad_period(ModelParams(1.0, 1.5), 1e-300, max_evals=2000)
+            quad_period(ModelParams(1.0, 1.5), 1e-300)
 
     def test_generic_driver_polynomial(self):
         assert adaptive_quadrature(lambda x: x * x, 0.0, 1.0, 1e-12) == pytest.approx(
@@ -134,6 +138,61 @@ class TestQuadrature:
             adaptive_quadrature(np.sin, 1.0, 1.0, 1e-10)
         with pytest.raises(DomainError):
             adaptive_quadrature(np.sin, 0.0, 1.0, 0.0)
+
+
+def plain_quadrature(f, a, b, tol, max_splits):
+    """adaptive_quadrature written out plainly: an exact fsum of every panel's
+    error after each split.  Returns (value, the exact totals, one per split)."""
+    value, err = oracles._gk15(f, a, b)
+    order = itertools.count()
+    heap, totals = [(-err, next(order), a, b, value, err)], [err]
+    while totals[-1] > tol and len(totals) <= max_splits:
+        _, _, pa, pb, _, _ = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        for lo, hi in ((pa, pm), (pm, pb)):
+            v, e = oracles._gk15(f, lo, hi)
+            heapq.heappush(heap, (-e, next(order), lo, hi, v, e))
+        totals.append(math.fsum(item[5] for item in heap))
+    return math.fsum(item[4] for item in heap), totals
+
+
+class TestQuadratureRunningTotal:
+    """The running error total stops the bisection at the split an exact sum does, and
+    hitting MAX_QUAD_EVALS costs no exact sum of every panel's error per split."""
+
+    @pytest.mark.parametrize("gamma", [1.0001, 1.01, 1.5])
+    @pytest.mark.parametrize("split", [3, 17, 40])
+    def test_stops_where_an_exact_sum_stops(self, gamma, split):
+        f = oracles._xi_integrand(ModelParams(1.0, gamma))
+        _, totals = plain_quadrature(f, 0.0, TWO_PI, 0.0, 60)
+        # tol exactly at a split's total, and one ulp below it: the stop is on the edge
+        for tol in (totals[split], math.nextafter(totals[split], 0.0)):
+            expected, expected_totals = plain_quadrature(f, 0.0, TWO_PI, tol, 10**6)
+            evals = []
+            counted = lambda s: evals.append(s.size) or f(s)  # noqa: E731
+            assert adaptive_quadrature(counted, 0.0, TWO_PI, tol) == expected
+            assert sum(evals) == 15 * (2 * len(expected_totals) - 1)
+
+    def test_refusal_sums_each_error_term_a_bounded_number_of_times(self, monkeypatch):
+        # gamma -> 1+ with the default tol 1e-10 is below the rounding floor of a
+        # period near 4443; an exact fsum per split made refusing quadratic in panels
+        splits = 1000
+        monkeypatch.setattr(oracles, "MAX_QUAD_EVALS", 15 + 30 * splits)
+        summed = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def fsum(self, terms):
+                terms = list(terms)
+                summed.append(len(terms))
+                assert sum(summed) <= 2 * splits, "an exact sum of the panel errors per split"
+                return math.fsum(terms)
+
+        monkeypatch.setattr(oracles, "math", CountingMath())
+        with pytest.raises(NoConvergence):
+            quad_period(ModelParams(1.0, 1.000001))
 
 
 class TestImplicitXiOfG:
@@ -583,12 +642,12 @@ class TestRk4StepCap:
             return original(*args)
 
         monkeypatch.setattr(oracles, rk4_pass, counted)
-        # the budget of 4 halvings alone would allow passes of up to 16 * 2**4 = 256 steps
         with pytest.raises(NoConvergence):
-            solve(ModelParams(1.0, 0.5), 0.0, (0.0, 4.0), 1e-300, max_halvings=4)
+            solve(ModelParams(1.0, 0.5), 0.0, (0.0, 4.0), 1e-300)
         assert steps == [16, 32, 64]
 
 
-def test_ode_solve_y_no_convergence_budget():
+def test_ode_solve_y_no_convergence_budget(monkeypatch):
+    monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 64)
     with pytest.raises(NoConvergence):
-        ode_solve_y(ModelParams(1.0, 0.5), 0.0, (0.0, 1.0), 1e-300, max_halvings=3)
+        ode_solve_y(ModelParams(1.0, 0.5), 0.0, (0.0, 1.0), 1e-300)

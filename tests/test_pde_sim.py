@@ -81,12 +81,32 @@ class TestInitFromWave:
         assert np.array_equal(state.phi_prev, np.asarray(expected))
 
     @pytest.mark.parametrize("ends", [(-20.0, math.inf), (-math.inf, 20.0), (-1e308, 1e308),
-                                      (math.nan, 20.0), (20.0, 20.0)])
+                                      (math.nan, 20.0), (20.0, 20.0), (0.0, 1e300)])
     def test_segment_needs_finite_extent(self, ends):
-        # an infinite or overflowing x_hi - x_lo used to give a grid of NaN points
+        # an infinite or overflowing x_hi - x_lo used to give a grid of NaN points;
+        # (0, 1e300) gives dx*dx = inf, which "diverged" at the first step
         wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.DECREASING1)
         with pytest.raises(DomainError):
             init_from_wave(wave, 64, Segment(*ends))
+
+    @pytest.mark.parametrize("alpha, dt", [(1e-300, None), (1.0, 1e-300)])
+    def test_spacing_squares_must_be_normal(self, alpha, dt):
+        # dx*dx underflowing to 0 divided by zero; dt*dt = 0 asked for 1e300 steps per unit time
+        with pytest.raises(DomainError):
+            init_from_wave(kink_array_wave(alpha), 64, Circle(1), dt=dt)
+
+    @pytest.mark.parametrize("xi0, m", [(1e7, 1), (-1e7, 1), (1e300, 1), (0.0, 10**9)])
+    def test_rejects_field_beyond_blowup_guard(self, xi0, m):
+        # |phi| ~ 1.1e7 at xi0 = 1e7 passed, then diverged in the first steps
+        wave = TravellingWave(ModelParams(1.0, 1.5), WaveBranch.KINK_ARRAY, xi0=xi0)
+        with pytest.raises(DomainError, match="whole periods"):
+            init_from_wave(wave, 64, Circle(m))
+
+    def test_field_inside_blowup_guard_is_accepted(self):
+        # a circle of m turns spans |phi| up to about 2*pi*m
+        m = int(pde_sim.BLOWUP_THRESHOLD / TWO_PI) - 1
+        state = init_from_wave(kink_array_wave(1.0), 64, Circle(m))
+        assert 0.9 * pde_sim.BLOWUP_THRESHOLD < np.max(np.abs(state.phi)) <= pde_sim.BLOWUP_THRESHOLD
 
     def test_minimum_grid(self):
         with pytest.raises(DomainError):
@@ -135,6 +155,22 @@ class TestGeometry:
         for level in (state, step(state, wave.params, state.dt)):
             ends = phi_eval(wave, np.array([x_lo, x_hi]), level.t)
             assert level.phi[[0, -1]] == pytest.approx(ends, rel=1e-12, abs=1e-12)
+
+
+class TestSpacingRule:
+    """A hand-built state obeys init_from_wave's grid rule wherever the kernel runs."""
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("use", ["step", "total_energy", "write_snapshot_csv"])
+    def test_bad_dt_rejected(self, tmp_path, use, dt):
+        # each reached the kernel: total_energy read -0.242 at dt = -dx, and nan (with a
+        # RuntimeWarning at dt = 0) otherwise
+        state, params = replace(uniform_state(dx=0.1, value=1.0), dt=dt), ModelParams(1.0, 0.5)
+        calls = {"step": lambda: step(state, params, state.dt),
+                 "total_energy": lambda: total_energy(state, params),
+                 "write_snapshot_csv": lambda: pde_sim.write_snapshot_csv(state, params, tmp_path / "s.csv")}
+        with pytest.raises(DomainError):
+            calls[use]()
 
 
 class TestStep:
