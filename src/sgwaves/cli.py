@@ -114,9 +114,8 @@ SETTINGS = {
     "x_lo": (float, REQUIRED, "segment left end"),
     "x_hi": (float, REQUIRED, "segment right end"),
     "n": (int, 256, "grid points"),
-    "dt": (float, None, "time step (default cfl_guard*dx)"),
+    "dt": (float, None, f"time step, 0 < dt <= {pde_sim.CFL}*dx (default {pde_sim.CFL}*dx)"),
     "t_end": (float, REQUIRED, "final time"),
-    "cfl_guard": (float, SimConfig.cfl_guard, "CFL safety factor"),
     "record_every": (int, SimConfig.record_every, "steps between records"),
     "eps": (float, 0.0, "perturbation amplitude (0 disables)"),
     "mode": (int, 1, "perturbation mode number"),
@@ -247,19 +246,10 @@ def cmd_simulate(settings: _Settings, args: argparse.Namespace) -> int:
             raise DomainError(f"setting '{key}' does not apply to a {kind} domain")
     domain = Circle(settings["m"]) if kind == "circle" else Segment(settings["x_lo"], settings["x_hi"])
 
-    dt = settings["dt"]
-    if dt is None:
-        dt = settings["cfl_guard"] * pde_sim.domain_grid(wave, settings["n"], domain)[1]
-    state = pde_sim.init_from_wave(wave, settings["n"], domain, dt=dt)
-
-    config = SimConfig(
-        dt=dt,
-        t_end=settings["t_end"],
-        cfl_guard=settings["cfl_guard"],
-        record_every=settings["record_every"],
-        perturbation=Perturbation(settings["eps"], settings["mode"]) if settings["eps"] != 0.0 else None,
-        probe=settings["probe"],
-    )
+    state = pde_sim.init_from_wave(wave, settings["n"], domain, dt=settings["dt"])
+    kick = Perturbation(settings["eps"], settings["mode"]) if settings["eps"] != 0.0 else None
+    config = SimConfig(dt=state.dt, t_end=settings["t_end"], record_every=settings["record_every"],
+                       perturbation=kick, probe=settings["probe"])
     report = pde_sim.evolve(state, wave.params, config, reference=wave)
     pde_sim.write_deviation_csv(report, out)
     if settings["snapshot_out"] is not None:
@@ -283,7 +273,7 @@ COMMANDS = {
     "limits": (cmd_limits, "asymptotic g and phi values", _WAVE),
     "verify": (cmd_verify, "run the oracle verification suite", ("out",)),
     "simulate": (cmd_simulate, "finite-difference evolution of a wave", _WAVE + (
-        "domain", "m", "x_lo", "x_hi", "n", "dt", "t_end", "cfl_guard", "record_every",
+        "domain", "m", "x_lo", "x_hi", "n", "dt", "t_end", "record_every",
         "eps", "mode", "probe", "out", "snapshot_out")),
 }
 

@@ -236,7 +236,11 @@ def g_eval(wave: TravellingWave, xi):
     d = np.subtract(arr, wave.xi0, np.empty(arr.shape))
     g, turns = _riccati(wave, d, d)
     np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
-    np.add(g, TWO_PI * turns, g)
+    if wave.branch is WaveBranch.KINK_ARRAY:
+        turns *= TWO_PI  # _riccati's own float array, scaled in place: no n-point temporary
+    else:
+        turns = TWO_PI * turns
+    np.add(g, turns, g)
     return g if arr.ndim else float(g)
 
 

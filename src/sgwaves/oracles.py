@@ -73,7 +73,9 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float):
     They agree when distance(cur[::2], prev) < tol at every grid point the two
     share.  Returns (xs, samples, extra, h, rk4_steps) of the agreeing pass.
     MAX_RK4_STEPS, read at call time, bounds every pass: a longer first pass
-    is a DomainError before any step, a longer doubling is NoConvergence."""
+    is a DomainError before any step, a longer doubling is NoConvergence, and
+    so is a doubling whose distance stops shrinking (truncation's shrinks ~16x)
+    within n ulps of max|samples|, where rounding sets it."""
     lo, hi = float(xi_span[0]), float(xi_span[1])
     _check_interval(lo, hi, tol)
     first = (hi - lo) * 4.0
@@ -81,13 +83,17 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float):
         raise DomainError(f"span ({lo}, {hi}) needs more than {MAX_RK4_STEPS} RK4 steps per pass")
     n = n0 = max(16, int(math.ceil(first)))
     prev, _ = one_pass(lo, (hi - lo) / n, n)
+    last = math.inf
     while (n := 2 * n) <= MAX_RK4_STEPS:
         h = (hi - lo) / n
         cur, extra = one_pass(lo, h, n)
-        if np.max(distance(cur[::2], prev)) < tol:
+        gap = np.max(distance(cur[::2], prev))
+        if gap < tol:
             # every pass's steps: n0 + 2*n0 + ... + n = 2*n - n0
             return lo + h * np.arange(n + 1), cur, extra, h, 2 * n - n0
-        prev = cur
+        if last <= gap <= n * math.ulp(np.max(np.abs(cur))):
+            raise NoConvergence(f"RK4 passes stalled at their rounding floor {gap:.3g} > tol={tol}")
+        prev, last = cur, gap
     raise NoConvergence(f"RK4 did not converge to tol={tol} within {MAX_RK4_STEPS} steps per pass")
 
 

@@ -7,9 +7,11 @@ from the wave part alone.  Domains are either a circle of length m*Xi with
 twisted periodic boundaries phi(x + L) = phi(x) + chirality*2*pi*m, or a
 segment whose end points are pinned to the exact travelling wave at the
 current time; `domain_grid` is the one place that turns either into a
-grid.  `step` and `evolve` share one in-place leapfrog kernel.  Its
-speed-ups must keep every result bit-identical to the update written out
-whole; `_Leapfrog` states how, and why its blow-up pre-check is exact.
+grid.  `_check_spacing` is the one time-step rule, 0 < dt <= CFL*dx, and
+every kernel enforces it.  `step`, `evolve`, `total_energy` and the
+snapshot share one in-place leapfrog kernel.  Its speed-ups must keep every
+result bit-identical to the update written out whole; `_Leapfrog` states
+how, and why its blow-up pre-check is exact.
 
 The stability observable is the co-moving deviation: the RMS distance
 between the field and the reference wave minimized over spatial shifts.
@@ -33,6 +35,7 @@ BLOWUP_THRESHOLD = 1e6  # radians; far beyond any physical excursion
 _BLOWUP_SQUARED = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD  # 1e12, exact in float64
 _SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
 MAX_GRID_POINTS = 2**22  # grid size cap: 32 MB per float64 array of the run
+CFL = 0.9  # largest dt/dx; the wave part alone needs dt <= dx
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,6 @@ class Perturbation:
 class SimConfig:
     dt: float
     t_end: float
-    cfl_guard: float = 0.9
     record_every: int = 50
     perturbation: Perturbation | None = None
     probe: bool = False  # record divergence instead of raising BlowUp
@@ -109,8 +111,6 @@ class SimConfig:
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end / self.dt) and self.t_end > 0.0):  # dt is finite and > 0
             raise DomainError(f"t_end must be positive with t_end/dt finite, got {self.t_end}/{self.dt}")
-        if not 0.0 < self.cfl_guard <= 1.0:
-            raise DomainError("cfl_guard must lie in (0, 1]")
         if self.record_every < 1:
             raise DomainError("record_every must be >= 1")
 
@@ -148,20 +148,20 @@ def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
 
 
 def _check_spacing(dx: float, dt: float) -> None:
-    """The one grid rule of init_from_wave and the kernel, NaN-safe: 0 < dt <= dx, normal squares."""
-    if not (0.0 < dt <= dx and dt * dt >= sys.float_info.min and dx * dx <= sys.float_info.max):
-        raise DomainError(f"grid needs 0 < dt <= dx with dt^2 and dx^2 normal doubles, got dt={dt}, dx={dx}")
+    """The one time-step rule of init_from_wave and every kernel, NaN-safe: 0 < dt <= CFL*dx and
+    dt^2, dx^2 normal doubles."""
+    if not (0.0 < dt <= CFL * dx and dt * dt >= sys.float_info.min and dx * dx <= sys.float_info.max):
+        raise DomainError(f"grid needs 0 < dt <= {CFL}*dx with dt^2, dx^2 normal; got dt={dt}, dx={dx}")
 
 
 def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None) -> FieldState:
     """Sample a wave at t = 0 (and t = -dt into phi_prev) on the given domain.
 
-    dt defaults to SimConfig.cfl_guard*dx.  phi_prev is sampled from the
-    exact wave, so the initial data carry no start-up error.
+    dt defaults to the largest step _check_spacing allows, CFL*dx.  phi_prev
+    is sampled from the exact wave, so the initial data carry no start-up error.
     """
     x0, dx, twist, pinned = domain_grid(wave, n, domain)
-    if dt is None:
-        dt = SimConfig.cfl_guard * dx
+    dt = CFL * dx if dt is None else dt
     _check_spacing(dx, dt)
     x = x0 + dx * np.arange(n)
     phi = np.asarray(phi_eval(wave, x, 0.0), dtype=float)
@@ -174,14 +174,15 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
 
 
 class _Leapfrog:
-    """The leapfrog kernel: phi at t - dt, t and t + dt in three ghost-padded buffers.
+    """The leapfrog kernel: levels prev, cur and nxt at t - dt, t and t + dt.
 
+    Each level is a tuple (row, interior, right, left) of one ghost-padded
+    row and its stencil views, sliced once; a step rotates the three roles.
     Ghost cells 0 and n+1 hold phi[-1] - twist and phi[0] + twist, so one
     stencil covers every point.  On a segment (twist 0) they feed only the
-    end values, which are then pinned to the exact wave.  The buffers swap
-    roles each step; each rotation's stencil views are sliced on first use.
+    end values, which are then pinned to the exact wave.
     `run(steps)` steps t_next = t + dt from the kernel's own `t` and `dt`; on BlowUp,
-    `t` and `rotation` stay at the last good level and `nxt` holds the rejected one.
+    `t`, `prev` and `cur` stay at the last good levels and `nxt` holds the rejected one.
 
     Every result is bit-identical to the update written out whole: the same
     operations in the same order, on coefficients held as 0-d float64 arrays
@@ -194,35 +195,26 @@ class _Leapfrog:
 
     def __init__(self, state: FieldState, params: ModelParams):
         _check_spacing(state.dx, state.dt)
-        # rows rotation, rotation + 1 and rotation + 2 (mod 3) hold t - dt, t and t + dt
-        self.buffers, self.rotation, self.t, self.views = np.empty((3, state.n + 2)), 0, state.t, [None] * 3
+        self.prev, self.cur, self.nxt = ((row, row[1:-1], row[2:], row[:-2])
+                                         for row in np.empty((3, state.n + 2)))
         self.two_phi, self.tmp = np.empty((2, state.n))
-        self.twist, self.dt = state.twist, state.dt
-        self.buffers[0, 1:-1], self.buffers[1, 1:-1] = state.phi_prev, state.phi
-        self.buffers[1, 0], self.buffers[1, -1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
+        self.t, self.twist, self.dt = state.t, state.twist, state.dt
+        self.prev[1][:], self.cur[1][:] = state.phi_prev, state.phi
+        self.cur[0][0], self.cur[0][-1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
         half = 0.5 * params.alpha * state.dt
         self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma = map(np.array, (
             2.0, state.dx * state.dx, state.dt * state.dt, 1.0 - half, 1.0 + half, params.gamma))
         self.pinned = None if state.pinned is None else (
             state.pinned, np.array([state.x0, state.x0 + (state.n - 1) * state.dx]))
 
-    prev = property(lambda self: self.buffers[self.rotation])
-    cur = property(lambda self: self.buffers[(self.rotation + 1) % 3])
-    nxt = property(lambda self: self.buffers[(self.rotation + 2) % 3])
-
-    def _bind(self, r: int) -> tuple:
-        prev, cur, nxt = (self.buffers[(r + k) % 3] for k in range(3))
-        self.views[r] = nxt, cur[1:-1], cur[2:], cur[:-2], prev[1:-1], nxt[1:-1]
-        return self.views[r]
-
     def run(self, steps: int) -> None:
         """Take `steps` steps from the kernel's time `t` (see the class docstring)."""
         two, dx2, dt2, keep, gain, gamma = self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma
         two_phi, tmp, twist, pinned, dt = self.two_phi, self.tmp, self.twist, self.pinned, self.dt
         multiply, subtract, add, divide, sin = np.multiply, np.subtract, np.add, np.divide, np.sin
-        r, t, views, bind = self.rotation, self.t, self.views, self._bind
+        prev, cur, nxt, t = self.prev, self.cur, self.nxt, self.t
         for _ in range(steps):
-            nxt, phi, right, left, prev, out = views[r] or bind(r)
+            (_, phi, right, left), (row, out, _, _) = cur, nxt
             t_next = t + dt
             # (dt*dt*(phi_xx - sin(phi) - gamma) + 2*phi - keep*phi_prev) / gain, in this order
             multiply(two, phi, two_phi)
@@ -233,21 +225,20 @@ class _Leapfrog:
             subtract(out, gamma, out)
             multiply(dt2, out, out)
             add(out, two_phi, out)
-            subtract(out, multiply(keep, prev, tmp), out)
+            subtract(out, multiply(keep, prev[1], tmp), out)
             divide(out, gain, out)
             if pinned is not None:
                 out[0], out[-1] = phi_eval(*pinned, t_next)
             if not out.dot(out) < _BLOWUP_SQUARED and not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
-                self.rotation, self.t = r, t
+                self.prev, self.cur, self.nxt, self.t = prev, cur, nxt, t
                 raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
-            nxt[0], nxt[-1] = out[-1] - twist, out[0] + twist
-            r = (r + 1) % 3
-            t = t_next
-        self.rotation, self.t = r, t
+            row[0], row[-1] = out[-1] - twist, out[0] + twist
+            prev, cur, nxt, t = cur, nxt, prev, t_next
+        self.prev, self.cur, self.nxt, self.t = prev, cur, nxt, t
 
     def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
-        return replace(like, phi=self.cur[1:-1].copy(), phi_prev=self.prev[1:-1].copy(), t=self.t)
+        return replace(like, phi=self.cur[1].copy(), phi_prev=self.prev[1].copy(), t=self.t)
 
 
 def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
@@ -267,12 +258,8 @@ def _perturbation_profile(state: FieldState, pert: Perturbation) -> np.ndarray:
     return pert.amplitude * wave
 
 
-def evolve(
-    state: FieldState,
-    params: ModelParams,
-    config: SimConfig,
-    reference: TravellingWave | None = None,
-) -> DeviationReport:
+def evolve(state: FieldState, params: ModelParams, config: SimConfig,
+           reference: TravellingWave | None = None) -> DeviationReport:
     """Advance to t_end, recording co-moving deviation against the reference.
 
     The optional perturbation is applied once, to phi and phi_prev alike so
@@ -281,10 +268,6 @@ def evolve(
     """
     if config.dt != state.dt:
         raise DomainError("config.dt must match the state's leapfrog spacing")
-    if config.dt > config.cfl_guard * state.dx:
-        raise DomainError(
-            f"dt={config.dt} violates the CFL guard {config.cfl_guard}*dx={config.cfl_guard * state.dx}"
-        )
     if config.perturbation is not None:
         kick = _perturbation_profile(state, config.perturbation)
         state = replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
@@ -361,15 +344,16 @@ def _centered_derivatives(state: FieldState, params: ModelParams) -> tuple:
     """Second-order (phi_t, phi_x) from one kernel step: phi_t by a centered difference in
     time, phi_x in space on the ghost-padded level, one-sided at pinned ends."""
     kernel = _Leapfrog(state, params)
+    # the levels at t and t + dt, taken by role before the step rotates the roles
+    (_, _, right, left), (_, level, _, _) = kernel.cur, kernel.nxt
     with suppress(BlowUp):  # the rejected level (maybe inf or nan) is written all the same
         kernel.run(1)
-    _, ghosts, level = kernel.buffers  # t - dt, t, t + dt: a fresh kernel's rotation 0
     phi = state.phi
-    phi_x = (ghosts[2:] - ghosts[:-2]) / (2.0 * state.dx)
+    phi_x = (right - left) / (2.0 * state.dx)
     if state.pinned is not None:
         phi_x[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * state.dx)
         phi_x[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * state.dx)
-    return (level[1:-1] - state.phi_prev) / (2.0 * state.dt), phi_x
+    return (level - state.phi_prev) / (2.0 * state.dt), phi_x
 
 
 def total_energy(state: FieldState, params: ModelParams) -> float:

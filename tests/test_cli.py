@@ -354,11 +354,11 @@ class TestSimulate:
     @pytest.mark.parametrize("run", [
         {"alpha": "0.5", "gamma": "1.5", "branch": "kink_array", "xi0": "-0.25",
          "chirality": "-1", "domain": "circle", "m": "2", "n": "128", "dt": "0.02",
-         "t_end": "2", "cfl_guard": "0.8", "record_every": "30", "eps": "1e-3",
+         "t_end": "2", "record_every": "30", "eps": "1e-3",
          "mode": "2", "probe": "true"},
         {"alpha": "0.5", "gamma": "0.5", "branch": "increasing2", "xi0": "0.5",
          "chirality": "1", "domain": "segment", "x_lo": "-20", "x_hi": "20", "n": "128",
-         "dt": "0.2", "t_end": "4", "cfl_guard": "0.95", "record_every": "7",
+         "dt": "0.2", "t_end": "4", "record_every": "7",
          "eps": "2e-3", "mode": "1", "probe": "false"},
     ])
     def test_config_file_matches_flags(self, tmp_path, capsys, run):
@@ -380,7 +380,7 @@ class TestSimulate:
     def test_spelled_out_defaults_match_omitted(self, tmp_path, capsys):
         outputs = []
         for name, extra in [("omitted", []), ("spelled", [
-                "--xi0", "0", "--chirality", "1", "--m", "1", "--n", "256", "--cfl-guard", "0.9",
+                "--xi0", "0", "--chirality", "1", "--m", "1", "--n", "256",
                 "--record-every", "50", "--probe", "false", "--eps", "0"])]:
             out, snap = tmp_path / f"{name}.csv", tmp_path / f"{name}_snap.csv"
             assert main(["simulate", *self.KINK, "--t-end", "3", "--out", str(out),
@@ -436,6 +436,28 @@ class TestSimulate:
         assert proc.returncode == EXIT_INVALID, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("how", ["dt_above_limit", "cfl_guard_flag", "cfl_guard_key"])
+    def test_time_step_rule_has_no_override(self, tmp_path, how):
+        # dt <= 0.9*dx is the one rule: a dt one ulp above it, and the removed cfl_guard
+        # setting as a flag or a config key, each exit 2
+        wave = TravellingWave(ModelParams(0.5, 1.5), WaveBranch.KINK_ARRAY)
+        above = math.nextafter(0.9 * (sgwaves.xi_period(wave.params) / 64), math.inf)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cfl_guard = 0.5\n")
+        extra = {"dt_above_limit": ["--dt", repr(above)], "cfl_guard_flag": ["--cfl-guard", "0.5"],
+                 "cfl_guard_key": ["--config", str(cfg)]}[how]
+        argv = ["simulate", *self.KINK, "--n", "64", "--t-end", "1", *extra, "--out", str(tmp_path / "d.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(sgwaves.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sgwaves.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "d.csv").exists()
+        if how == "dt_above_limit":
+            assert "dt <= 0.9*dx" in proc.stderr
+            argv[argv.index(repr(above))] = repr(math.nextafter(above, 0.0))
+            assert main(argv[:-1] + [str(tmp_path / "ok.csv")]) == EXIT_OK
 
     def test_cached_parser_reruns_match_a_fresh_process(self, tmp_path, capsys):
         # the parser is built once per process; A, B, A must give A's bytes twice

@@ -647,6 +647,44 @@ class TestRk4StepCap:
         assert steps == [16, 32, 64]
 
 
+class TestRoundingFloorRefusal:
+    """A tol below the samples' rounding floor is refused once the passes stall there."""
+
+    @pytest.mark.parametrize("solve,rk4_pass", [(ode_solve_g, "_rk4_g"),
+                                                (ode_solve_y, "_integrate_riccati")])
+    def test_sub_floor_tol_refused_cheaply(self, monkeypatch, solve, rk4_pass):
+        # each ran all 22 doublings to MAX_RK4_STEPS = 2**22 first: 8.4M steps, 4-6 s
+        original = getattr(oracles, rk4_pass)
+        steps = []
+
+        def counted(*args):
+            steps.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(oracles, rk4_pass, counted)
+        with pytest.raises(NoConvergence, match="rounding floor"):
+            solve(ModelParams(1.0, 0.5), 0.0, (0.0, 1.0), 1e-300)
+        assert sum(steps) <= 2**16
+
+    @pytest.mark.parametrize("gaps,passes", [
+        ([1e-15, 1e-15], [16, 32, 64]),  # no smaller, within n ulps of max|samples| = 1
+        ([1e-3, 2e-3, 3e-3, 4e-3], [16, 32, 64, 128, 256]),  # growing, but far above the floor
+        ([4e-15, 2e-15, 1e-15, 5e-16], [16, 32, 64, 128, 256]),  # at the floor, still shrinking
+    ])
+    def test_needs_a_stall_at_the_floor(self, monkeypatch, gaps, passes):
+        monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 256)
+        ran = []
+
+        def one_pass(lo, h, n):
+            ran.append(n)
+            return np.ones(n + 1), None
+
+        with pytest.raises(NoConvergence):
+            oracles._halve_until_agree(one_pass, lambda cur, prev: np.array([gaps.pop(0)]),
+                                       (0.0, 1.0), 1e-300)
+        assert ran == passes
+
+
 def test_ode_solve_y_no_convergence_budget(monkeypatch):
     monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 64)
     with pytest.raises(NoConvergence):

@@ -172,6 +172,44 @@ class TestSpacingRule:
         with pytest.raises(DomainError):
             calls[use]()
 
+    @staticmethod
+    def front_grid(n=512):
+        """A pinned front segment with dt = 0.9*dx computed as the front_scan benchmark does."""
+        params = ModelParams(0.7, 0.4)
+        wave = TravellingWave(params, WaveBranch.INCREASING2)
+        half = 40.0 * params.alpha / math.sqrt((1.0 - params.gamma) * (1.0 + params.gamma))
+        return wave, Segment(-half, half), 0.9 * (2.0 * half / (n - 1)), n
+
+    @pytest.mark.parametrize("domain", ["circle", "segment"])
+    def test_limit_is_accepted_everywhere(self, tmp_path, domain):
+        if domain == "circle":
+            wave, n = kink_array_wave(), 256
+            dom, dt = Circle(2), 0.9 * (2 * xi_period(wave.params) / n)
+            assert init_from_wave(wave, n, dom).dt == dt  # the default is the limit itself
+        else:
+            wave, dom, dt, n = self.front_grid()
+        state = init_from_wave(wave, n, dom, dt=dt)
+        assert state.dt == pde_sim.CFL * state.dx
+        step(state, wave.params, dt)
+        total_energy(state, wave.params)
+        pde_sim.write_snapshot_csv(state, wave.params, tmp_path / "s.csv")
+        evolve(state, wave.params, SimConfig(dt=dt, t_end=3 * dt), reference=wave)
+
+    @pytest.mark.parametrize("use", ["init_from_wave", "step", "evolve", "total_energy",
+                                     "write_snapshot_csv"])
+    def test_one_ulp_above_limit_rejected_everywhere(self, tmp_path, use):
+        wave, dom, dt, n = self.front_grid()
+        params, above = wave.params, math.nextafter(dt, math.inf)
+        state = replace(init_from_wave(wave, n, dom, dt=dt), dt=above)
+        calls = {"init_from_wave": lambda: init_from_wave(wave, n, dom, dt=above),
+                 "step": lambda: step(state, params, above),
+                 "evolve": lambda: evolve(state, params, SimConfig(dt=above, t_end=1.0)),
+                 "total_energy": lambda: total_energy(state, params),
+                 "write_snapshot_csv": lambda: pde_sim.write_snapshot_csv(state, params, tmp_path / "s.csv")}
+        with pytest.raises(DomainError, match="dt <= 0.9"):
+            calls[use]()
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestStep:
     def test_constant_state_is_fixed_point(self):
@@ -343,7 +381,7 @@ class TestKernel:
         assert np.array_equal(state.phi_prev, before[1])
         (kernel,) = kernels
         final = report.final_state
-        for buffer in (kernel.prev, kernel.cur, kernel.nxt, kernel.two_phi, kernel.tmp):
+        for buffer in (kernel.prev[0], kernel.cur[0], kernel.nxt[0], kernel.two_phi, kernel.tmp):
             assert not np.shares_memory(final.phi, buffer)
             assert not np.shares_memory(final.phi_prev, buffer)
 
@@ -659,10 +697,10 @@ class TestEvolve:
         assert report.final_state.t < 100.0
 
     def test_cfl_guard_enforced(self):
+        # the time-step rule 0 < dt <= CFL*dx refuses 0.95*dx before any state exists
         wave = kink_array_wave()
-        state = init_from_wave(wave, 128, Circle(1), dt=0.95 * xi_period(wave.params) / 128)
         with pytest.raises(DomainError):
-            evolve(state, wave.params, SimConfig(dt=state.dt, t_end=1.0))
+            init_from_wave(wave, 128, Circle(1), dt=0.95 * xi_period(wave.params) / 128)
 
     def test_convergence_second_order(self):
         wave = kink_array_wave()
@@ -683,8 +721,6 @@ class TestSimConfigValidation:
             SimConfig(dt=0.0, t_end=1.0)
         with pytest.raises(DomainError):
             SimConfig(dt=0.1, t_end=0.0)
-        with pytest.raises(DomainError):
-            SimConfig(dt=0.1, t_end=1.0, cfl_guard=1.5)
         with pytest.raises(DomainError):
             SimConfig(dt=0.1, t_end=1.0, record_every=0)
         for amplitude in (-1.0, math.nan, math.inf):
