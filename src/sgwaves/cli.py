@@ -163,21 +163,24 @@ def cmd_eval(settings: _Settings, args: argparse.Namespace) -> int:
     """Tabulate xi,y,F,g,phi along a xi grid into a CSV file."""
     wave = _wave(settings)
     xs = settings["grid"]
-    out = settings["out"]
-    if wave.branch.is_constant:
-        y = np.full_like(xs, closed_form.constant_y_value(wave.params, wave.branch))
-        phi = np.asarray(closed_form.phi_eval(wave, xs, 0.0))
-        g = phi + math.pi
-    else:
-        y = np.asarray(closed_form.y_eval(wave, xs))
-        g = np.asarray(closed_form.g_eval(wave, xs))
-        phi = g - math.pi
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # an overflow here, not a NaN row in the CSV
+            if wave.branch.is_constant:
+                y = np.full_like(xs, closed_form.constant_y_value(wave.params, wave.branch))
+                phi = np.asarray(closed_form.phi_eval(wave, xs, 0.0))
+                g = phi + math.pi
+            else:
+                y = np.asarray(closed_form.y_eval(wave, xs))
+                g = np.asarray(closed_form.g_eval(wave, xs))
+                phi = g - math.pi
+    except FloatingPointError as exc:
+        raise DomainError(f"xi - xi0 or g overflows on this grid ({exc})") from exc
     F = np.asarray(closed_form.F_map(y))
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(settings["out"], "w", encoding="utf-8") as fh:
         fh.write("xi,y,F,g,phi\n")
         for row in zip(xs, y, F, g, phi):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    log.info("wrote %d rows to %s", len(xs), out)
+    log.info("wrote %d rows to %s", len(xs), settings["out"])
     return EXIT_OK
 
 
@@ -212,10 +215,9 @@ def cmd_verify(settings: _Settings, args: argparse.Namespace) -> int:
         value = worst()
         if name == "identity_max_residual" and args.corrupt_gamma_sign:
             # fault-injection hook: flip the forcing sign inside the fixed-point
-            # formula and fold the (large) residual into the identity check
-            gamma = 0.5
-            y_bad = (1.0 + math.sqrt(1.0 - gamma * gamma)) / gamma
-            value = max(value, abs(closed_form.F_map(y_bad) - math.tan(closed_form.theta(gamma))))
+            # formula (y_- at -gamma is -y_-) and fold the (large) residual into the identity check
+            y_bad = -closed_form.y_fixed_points(ModelParams(1.0, 0.5)).y_minus
+            value = max(value, abs(closed_form.F_map(y_bad) - math.tan(closed_form.theta(0.5))))
         lines.append(f"{name} = {_fmt(value)}")
         lines.append(f"{name}_threshold = {_fmt(threshold)}")
         if not value < threshold:

@@ -122,11 +122,12 @@ def subcritical_rate(params: ModelParams) -> float:
 
 
 def xi_period(params: ModelParams) -> float:
-    """Spatial period Xi = 2*pi*alpha / sqrt(gamma^2 - 1) of the kink array."""
+    """Spatial period Xi = 2*pi*alpha / sqrt(gamma^2 - 1) of the kink array, positive and finite."""
     g = params.gamma
-    if g <= 1.0:
-        raise DomainError(f"period requires gamma > 1, got {g}")
-    return TWO_PI * params.alpha / math.sqrt((g - 1.0) * (g + 1.0))
+    period = TWO_PI * params.alpha / math.sqrt((g - 1.0) * (g + 1.0)) if g > 1.0 else math.nan
+    if not 0.0 < period < math.inf:
+        raise DomainError(f"period needs gamma > 1 and a finite, positive value; got {params}")
+    return period
 
 
 def theta(gamma: float) -> float:
@@ -149,19 +150,17 @@ def F_map(y):
     return F if arr.ndim else float(F)
 
 
-def _riccati(wave: TravellingWave, d, y):
+def _riccati(wave: TravellingWave, d):
     """Window-free y at d = xi - xi0 and the number of poles of y left of xi.
 
     Both come from one phase variable, so they agree on which side of a
     pole d lies: round(u) on the kink array, and on increasing2 and
     critical_kink the sign bit of den in y = c + k/den (k > 0).
 
-    y is a float array of d's shape that the caller owns and gives up: each
-    step of the branch formula writes into it in place, and it is returned.
-    It may be d itself; d is otherwise only read, so a caller that reads d
-    again passes a fresh y.  The steps are the same floating-point
-    operations in the same order as the out-of-place formula, so y is the
-    same bit for bit.
+    d is a float array that the caller owns and gives up: each step of the
+    branch formula writes into it in place, and it is returned as y.  The
+    steps are the same floating-point operations in the same order as the
+    out-of-place formula, so y is the same bit for bit.
     """
     p = wave.params
     branch = wave.branch
@@ -170,31 +169,31 @@ def _riccati(wave: TravellingWave, d, y):
     turns = 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if branch is WaveBranch.KINK_ARRAY:
-            u = np.divide(d, xi_period(p), y)
+            u = np.divide(d, xi_period(p), d)
             turns = np.round(u)
             c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
-            np.multiply(math.pi, np.subtract(u, turns, y), y)
-            np.add(-1.0 / p.gamma, np.multiply(c, np.tan(y, y), y), y)
+            np.multiply(math.pi, np.subtract(u, turns, d), d)
+            np.add(-1.0 / p.gamma, np.multiply(c, np.tan(d, d), d), d)
         elif branch in (WaveBranch.PURE_SG_DECREASING, WaveBranch.PURE_SG_INCREASING):
-            np.exp(np.divide(d, p.alpha, y), y)
+            np.exp(np.divide(d, p.alpha, d), d)
             if branch is WaveBranch.PURE_SG_DECREASING:
-                np.negative(y, y)
+                np.negative(d, d)
         elif branch is WaveBranch.DECREASING1:
             fp = y_fixed_points(p)
-            np.add(1.0, np.exp(np.multiply(subcritical_rate(p), d, y), y), y)
-            np.add(fp.y_minus, np.divide(fp.y_plus - fp.y_minus, y, y), y)
+            np.add(1.0, np.exp(np.multiply(subcritical_rate(p), d, d), d), d)
+            np.add(fp.y_minus, np.divide(fp.y_plus - fp.y_minus, d, d), d)
         else:
             if branch is WaveBranch.CRITICAL_KINK:
                 c, k = -1.0, 2.0 * p.alpha
-                den = np.negative(d, y)
+                den = np.negative(d, d)
             else:
                 fp = y_fixed_points(p)
                 c, k = fp.y_minus, fp.y_plus - fp.y_minus
                 # expm1 keeps y accurate next to the pole, where 1 - exp(A*d) cancels
-                den = np.negative(np.expm1(np.multiply(subcritical_rate(p), d, y), y), y)
+                den = np.negative(np.expm1(np.multiply(subcritical_rate(p), d, d), d), d)
             turns = np.signbit(den)  # den = -0.0 at d = +0.0, where y = -inf
-            np.add(c, np.divide(k, den, y), y)
-    return y, turns
+            np.add(c, np.divide(k, den, d), d)
+    return d, turns
 
 
 def y_eval(wave: TravellingWave, xi):
@@ -207,21 +206,22 @@ def y_eval(wave: TravellingWave, xi):
     """
     p = wave.params
     arr = np.asarray(xi, dtype=float)
-    d = arr - wave.xi0
-    y, _ = _riccati(wave, d, np.empty(arr.shape))
+    d = np.subtract(arr, wave.xi0, np.empty(arr.shape))
     pole_offset = d
     if wave.branch is WaveBranch.KINK_ARRAY:
-        period = xi_period(p)
-        pole_offset = d - period * (np.round(d / period - 0.5) + 0.5)
-        scale = period
+        scale = xi_period(p)
+        pole_offset = d - scale * (np.round(d / scale - 0.5) + 0.5)
     elif wave.branch is WaveBranch.CRITICAL_KINK:
         scale = p.alpha
     elif wave.branch is WaveBranch.INCREASING2:
         scale = 1.0 / subcritical_rate(p)
     else:
+        y, _ = _riccati(wave, d)
         return y if arr.ndim else float(y)
     near = np.abs(pole_offset) < _POLE_WINDOW * max(1.0, scale)
-    y = np.where(near, np.where(pole_offset <= 0.0, math.inf, -math.inf), y)
+    infinities = np.where(pole_offset[near] <= 0.0, math.inf, -math.inf)  # before d turns into y
+    y, _ = _riccati(wave, d)
+    y[near] = infinities
     return y if arr.ndim else float(y)
 
 
@@ -233,8 +233,7 @@ def g_eval(wave: TravellingWave, xi):
     y, so g is smooth through every pole: no window, no limit override.
     """
     arr = np.asarray(xi, dtype=float)
-    d = np.subtract(arr, wave.xi0, np.empty(arr.shape))
-    g, turns = _riccati(wave, d, d)
+    g, turns = _riccati(wave, np.subtract(arr, wave.xi0, np.empty(arr.shape)))
     np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
     if wave.branch is WaveBranch.KINK_ARRAY:
         turns *= TWO_PI  # _riccati's own float array, scaled in place: no n-point temporary
@@ -287,11 +286,11 @@ def phi_limits(wave: TravellingWave) -> tuple[float, float]:
 
 
 def constant_y_value(params: ModelParams, branch: WaveBranch) -> float:
-    """y value of a constant branch (the gamma = 0 unstable state maps to -inf)."""
-    if branch is WaveBranch.CONSTANT_S:
-        return -params.gamma / (1.0 + math.sqrt((1.0 - params.gamma) * (1.0 + params.gamma)))
-    if branch is WaveBranch.CONSTANT_U:
-        if params.gamma == 0.0:
-            return -math.inf
-        return y_fixed_points(params).y_minus
-    raise DomainError(f"branch {branch.value} is not constant")
+    """y value of a constant branch: y_+ (stable) or y_- (unstable), -0.0 or -inf at gamma = 0."""
+    if not branch.is_constant:
+        raise DomainError(f"branch {branch.value} is not constant")
+    stable = branch is WaveBranch.CONSTANT_S
+    if params.gamma == 0.0:
+        return -0.0 if stable else -math.inf
+    fp = y_fixed_points(params)
+    return fp.y_plus if stable else fp.y_minus

@@ -7,12 +7,12 @@ two refinements agree, the period integral is done by adaptive Gauss-Kronrod
 bisection, and the field equation residual is measured with 5-point
 finite-difference stencils on phi_eval.  `_check_interval` (a < b, both
 within half the largest double, tol > 0) is the one interval rule of both
-ODE spans and every quadrature; a NaN start, g0 = +-inf, non-finite g
-bounds, a non-finite stencil step or a first RK4 pass of more than
-MAX_RK4_STEPS steps raise DomainError before any work (y0 = +-inf is a
-start on a pole).  MAX_RK4_STEPS and MAX_QUAD_EVALS, read at call time, are
-the only work bounds.  Agreement between these routes and the closed forms
-is what the test suite asserts.
+ODE spans and every quadrature.  A NaN start, g0 = +-inf, a rate that is
+not finite at the start, non-finite g bounds, a non-finite stencil step or
+a first RK4 pass over MAX_RK4_STEPS steps is a DomainError before any work
+(y0 = +-inf is a start on a pole), and so is a non-finite quadrature panel.
+MAX_RK4_STEPS and MAX_QUAD_EVALS, read at call time, are the only work
+bounds.  The test suite asserts agreement with the closed forms.
 `CHECKS` is the one table of those checks: each case list and threshold that
 `sgwaves verify` and the acceptance criteria read.
 
@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .closed_form import F_map, TravellingWave, WaveBranch, g_eval, phi_eval, theta, xi_period
+from .closed_form import F_map, TravellingWave, WaveBranch, constant_y_value, g_eval, phi_eval, theta, xi_period
 from .errors import DomainError, NoConvergence
 from .model import TWO_PI, ModelParams
 
@@ -75,7 +75,7 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float):
     MAX_RK4_STEPS, read at call time, bounds every pass: a longer first pass
     is a DomainError before any step, a longer doubling is NoConvergence, and
     so is a doubling whose distance stops shrinking (truncation's shrinks ~16x)
-    within n ulps of max|samples|, where rounding sets it."""
+    within n ulps of a finite max|samples|, where rounding sets it."""
     lo, hi = float(xi_span[0]), float(xi_span[1])
     _check_interval(lo, hi, tol)
     first = (hi - lo) * 4.0
@@ -87,11 +87,12 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float):
     while (n := 2 * n) <= MAX_RK4_STEPS:
         h = (hi - lo) / n
         cur, extra = one_pass(lo, h, n)
-        gap = np.max(distance(cur[::2], prev))
+        with np.errstate(invalid="ignore"):  # inf - inf: a pass that overflowed only disagrees
+            gap = np.max(distance(cur[::2], prev))
         if gap < tol:
             # every pass's steps: n0 + 2*n0 + ... + n = 2*n - n0
             return lo + h * np.arange(n + 1), cur, extra, h, 2 * n - n0
-        if last <= gap <= n * math.ulp(np.max(np.abs(cur))):
+        if last <= gap <= n * math.ulp(np.max(np.abs(cur))) < math.inf:
             raise NoConvergence(f"RK4 passes stalled at their rounding floor {gap:.3g} > tol={tol}")
         prev, last = cur, gap
     raise NoConvergence(f"RK4 did not converge to tol={tol} within {MAX_RK4_STEPS} steps per pass")
@@ -105,13 +106,16 @@ def _rk4_g(params: ModelParams, g0: float, lo: float, h: float, n: int):
     h6 = h / 6.0
     g = float(g0)
     gs = array("d", (g,))
-    for _ in range(n):
-        k1 = (gamma - sin(g)) / alpha
-        k2 = (gamma - sin(g + hh * k1)) / alpha
-        k3 = (gamma - sin(g + hh * k2)) / alpha
-        k4 = (gamma - sin(g + h * k3)) / alpha
-        g = g + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        gs.append(g)
+    try:
+        for _ in range(n):
+            k1 = (gamma - sin(g)) / alpha
+            k2 = (gamma - sin(g + hh * k1)) / alpha
+            k3 = (gamma - sin(g + hh * k2)) / alpha
+            k4 = (gamma - sin(g + h * k3)) / alpha
+            g = g + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            gs.append(g)
+    except ValueError:  # sin(+-inf): g overflowed, so the rest of the pass is NaN
+        gs.extend(array("d", (math.nan,)) * (n + 1 - len(gs)))
     return np.frombuffer(gs), None
 
 
@@ -121,8 +125,8 @@ def ode_solve_g(params: ModelParams, g0: float, xi_span, tol: float = DEFAULT_OD
     The step is halved until two successive refinements differ by less than
     tol in sup norm at the shared grid points.
     """
-    if not math.isfinite(g0):
-        raise DomainError(f"g0 must be finite, got {g0}")
+    if not (math.isfinite(g0) and math.isfinite((params.gamma - math.sin(g0)) / params.alpha)):
+        raise DomainError(f"g0 and the rate at g0 must be finite, got g0={g0} at {params}")
     xs, ys, _, h, steps = _halve_until_agree(
         partial(_rk4_g, params, g0), lambda cur, prev: np.abs(cur - prev), xi_span, tol)
     return OdeSolution(xs, ys, h, rk4_steps=steps)
@@ -189,8 +193,9 @@ def ode_solve_y(params: ModelParams, y0: float, xi_span, tol: float = DEFAULT_OD
     nearest pole event rather than stored as huge values.  y0 = +-inf is a
     start on a pole.
     """
-    if math.isnan(y0):
-        raise DomainError("y0 must not be NaN")
+    v, s = (float(y0), 2.0) if abs(y0) <= _CHART_SWAP else (-1.0 / float(y0), -2.0)  # the pass's start
+    if not math.isfinite((s * v + params.gamma * (1.0 + v * v)) / (2.0 * params.alpha)):  # NaN y0 too
+        raise DomainError(f"y0 must not be NaN and the rate at it must be finite; got y0={y0} at {params}")
     xs, _, (ys, poles), h, steps = _halve_until_agree(
         partial(_integrate_riccati, params, y0), _projective_distance, xi_span, tol)
     keep = np.abs(ys) <= _BLOWUP_Y
@@ -235,9 +240,12 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     """Kronrod-15 estimate of the panel integral plus an embedded error bound."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fx = f(mid + half * _NODES)
-    ik = half * float(np.dot(_KWEIGHTS, fx))
-    ig = half * float(np.dot(_GWEIGHTS, fx))
+    with np.errstate(all="ignore"):  # an overflow in f or np.dot is a non-finite panel: refused below
+        fx = f(mid + half * _NODES)
+        ik = half * float(np.dot(_KWEIGHTS, fx))
+        ig = half * float(np.dot(_GWEIGHTS, fx))
+    if not abs(ik - ig) < math.inf:  # also NaN: ik or ig is not finite
+        raise DomainError(f"the integral over the panel ({a}, {b}) is not finite")
     return ik, abs(ik - ig)
 
 
@@ -256,28 +264,31 @@ def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
     read > tol too.  So the splits are those of an fsum at every split.
     """
     _check_interval(a, b, tol)
-    value, err = _gk15(f, a, b)
-    heap = [(-err, 0, a, b, value, err)]
-    count = 1  # panels made, 15 evaluations each
-    total_err = running = err
-    drift = 0.0
-    while total_err > tol:
-        if 15 * count >= MAX_QUAD_EVALS:
-            raise NoConvergence(f"quadrature tolerance {tol} unreachable within {MAX_QUAD_EVALS} evaluations")
-        _, _, pa, pb, pv, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lv, le = _gk15(f, pa, pm)
-        rv, re = _gk15(f, pm, pb)
-        heapq.heappush(heap, (-le, (count := count + 1), pa, pm, lv, le))
-        heapq.heappush(heap, (-re, (count := count + 1), pm, pb, rv, re))
-        pair = le + re
-        change = pair - perr
-        running += change
-        drift += math.ulp(pair) + math.ulp(change) + math.ulp(running)
-        if not running - drift > tol:
-            total_err = running = math.fsum(item[5] for item in heap)
-            drift = math.ulp(running)
-    return math.fsum(item[4] for item in heap)
+    try:
+        value, err = _gk15(f, a, b)
+        heap = [(-err, 0, a, b, value, err)]
+        count = 1  # panels made, 15 evaluations each
+        total_err = running = err
+        drift = 0.0
+        while total_err > tol:
+            if 15 * count >= MAX_QUAD_EVALS:
+                raise NoConvergence(f"quadrature tolerance {tol} unreachable within {MAX_QUAD_EVALS} evaluations")
+            _, _, pa, pb, pv, perr = heapq.heappop(heap)
+            pm = 0.5 * (pa + pb)
+            lv, le = _gk15(f, pa, pm)
+            rv, re = _gk15(f, pm, pb)
+            heapq.heappush(heap, (-le, (count := count + 1), pa, pm, lv, le))
+            heapq.heappush(heap, (-re, (count := count + 1), pm, pb, rv, re))
+            pair = le + re
+            change = pair - perr
+            running += change
+            drift += math.ulp(pair) + math.ulp(change) + math.ulp(running)
+            if not running - drift > tol:
+                total_err = running = math.fsum(item[5] for item in heap)
+                drift = math.ulp(running)
+        return math.fsum(item[4] for item in heap)
+    except OverflowError as exc:  # fsum of finite panels whose sum is not
+        raise DomainError(f"the integral over ({a}, {b}) is not finite") from exc
 
 
 def _xi_integrand(params: ModelParams):
@@ -333,9 +344,9 @@ def identities_check(gamma: float) -> dict[str, float]:
 
     Checked against theta = asin(gamma)/4: the two bisection square roots,
     the F values at both fixed points, tan(pi/8) = sqrt(2) - 1, and the
-    quadruplication formula for sin(4*theta).  At gamma = 0 the y_- fixed
-    point diverges, so that residual is recorded as 0 by convention (the F
-    limit is 0 = tan 0).
+    quadruplication formula for sin(4*theta).  The fixed points are the
+    library's `constant_y_value` (alpha plays no part in them); at gamma = 0,
+    y_- = -inf and F(-inf) = 0 = tan 0.
     """
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"identities defined for 0 <= gamma <= 1, got {gamma}")
@@ -352,13 +363,9 @@ def identities_check(gamma: float) -> dict[str, float]:
             - 4.0 * tan_th * (1.0 - tan_th ** 2) / (1.0 + tan_th ** 2) ** 2
         ),
     }
-    y_plus = -gamma / (1.0 + root)
-    res["F_plus"] = abs(F_map(y_plus) - math.tan(0.25 * math.pi - th))
-    if gamma == 0.0:
-        res["F_minus"] = 0.0
-    else:
-        y_minus = -(1.0 + root) / gamma
-        res["F_minus"] = abs(F_map(y_minus) - tan_th)
+    fixed = ModelParams(1.0, gamma)
+    res["F_plus"] = abs(F_map(constant_y_value(fixed, WaveBranch.CONSTANT_S)) - math.tan(0.25 * math.pi - th))
+    res["F_minus"] = abs(F_map(constant_y_value(fixed, WaveBranch.CONSTANT_U)) - tan_th)
     return res
 
 

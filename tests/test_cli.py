@@ -10,10 +10,12 @@ import pytest
 import sgwaves
 from sgwaves import DomainError, ModelParams, TravellingWave, WaveBranch, pde_sim
 from sgwaves.cli import (
+    EXIT_DIVERGED,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     MAX_CONFIG_BYTES,
+    _fmt,
     _parse_grid,
     load_config,
     main,
@@ -147,6 +149,31 @@ class TestEval:
                      f"--grid={grid}", "--out", str(out)]) == EXIT_INVALID
         assert not out.exists()
 
+    def test_grid_without_count_exits_2(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--alpha", "1", "--gamma", "0.5", "--branch", "decreasing1",
+                     "--grid", "0:1", "--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
+
+    def test_unstable_state_at_zero_forcing(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--alpha", "1", "--gamma", "0", "--branch", "constant_u",
+                     "--grid", "0:1:3", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert [row[1:3] for row in rows] == [["-inf", "0"]] * 3  # y = -inf, F(-inf) = 0
+        assert {row[4] for row in rows} == {_fmt(math.pi)}
+
+    # xi - xi0 (or g) overflowed: a NaN row with exit 0, or an overflow warning
+    @pytest.mark.parametrize("argv", [
+        "--alpha 1 --gamma 1.5 --branch kink_array --xi0=-1e308 --grid=0:1e308:3",
+        "--alpha 1 --gamma 0 --branch pure_sg_increasing --xi0=-1e308 --grid=0:1e308:4",
+        "--alpha 1e-300 --gamma 1.5 --branch kink_array --grid=0:1e300:3",  # d/Xi overflows
+    ])
+    def test_overflowing_grid_exits_2(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert main(["eval", *argv.split(), "--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
+
     def test_grid_cap(self):
         with pytest.raises(DomainError):
             _parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
@@ -176,6 +203,11 @@ class TestPeriod:
 
     def test_subcritical_exits_2(self):
         assert main(["period", "--alpha", "1", "--gamma", "1"]) == EXIT_INVALID
+
+    def test_infinite_period_exits_2(self, capsys):
+        # printed inf, inf and nan with exit 0
+        assert main(["period", "--alpha", "1e308", "--gamma", "1.5"]) == EXIT_INVALID
+        assert capsys.readouterr().out == ""
 
 
 class TestLimits:
@@ -411,6 +443,18 @@ class TestSimulate:
         header, rows = read_csv(snap)
         assert header == ["x", "phi", "phi_t"]
         assert [float(row[1]) for row in rows] == last_good.phi.tolist()
+
+    def test_divergence_without_probe_exits_3(self, tmp_path, caplog):
+        out = tmp_path / "d.csv"
+        assert main(["simulate", *self.KINK, "--n", "64", "--t-end", "5", "--eps", "1e7",
+                     "--out", str(out)]) == EXIT_DIVERGED
+        assert "simulation diverged" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--domain", "torus"], ["--probe", "maybe"]])
+    def test_bad_domain_or_probe_exits_2(self, tmp_path, extra):
+        assert main(self.args(tmp_path / "d.csv", extra)) == EXIT_INVALID
+        assert not (tmp_path / "d.csv").exists()
 
     def test_step_count_overflow_exits_2(self, tmp_path):
         # t_end/dt = inf used to reach math.ceil and end in an OverflowError traceback

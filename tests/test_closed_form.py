@@ -25,6 +25,8 @@ from sgwaves import (
     y_eval,
     y_fixed_points,
 )
+from sgwaves import closed_form
+from sgwaves.closed_form import constant_y_value
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -124,6 +126,22 @@ class TestFixedPoints:
     def test_degenerate_at_zero(self):
         with pytest.raises(DomainError):
             y_fixed_points(ModelParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("gamma", [1e-300, 0.25, 0.5, 0.999999, 1.0])
+    def test_constant_values_are_the_fixed_points(self, gamma):
+        fp = y_fixed_points(ModelParams(1.0, gamma))
+        assert same_bits(constant_y_value(ModelParams(1.0, gamma), WaveBranch.CONSTANT_S), fp.y_plus)
+        assert same_bits(constant_y_value(ModelParams(1.0, gamma), WaveBranch.CONSTANT_U), fp.y_minus)
+
+    def test_constant_values_at_zero_forcing(self):
+        assert same_bits(constant_y_value(ModelParams(1.0, 0.0), WaveBranch.CONSTANT_S), -0.0)
+        assert constant_y_value(ModelParams(1.0, 0.0), WaveBranch.CONSTANT_U) == -math.inf
+
+    def test_constant_values_refuse_other_branches_and_forcings(self):
+        with pytest.raises(DomainError):
+            constant_y_value(ModelParams(1.0, 0.5), WaveBranch.DECREASING1)
+        with pytest.raises(DomainError):  # was a bare "math domain error" for the stable state
+            constant_y_value(ModelParams(1.0, 1.5), WaveBranch.CONSTANT_S)
 
     def test_roots_satisfy_quadratic(self):
         for gamma in np.linspace(0.01, 1.0, 100):
@@ -447,6 +465,22 @@ class TestInPlaceEval:
         assert same_bits(y_eval(w, ints), reference_y(w, ints.astype(float)))
         assert same_bits(g_eval(w, list(ints)), g_eval(w, ints.astype(float)))
 
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    def test_result_is_the_riccati_buffer(self, monkeypatch, branch, alpha, gamma):
+        # one n-point float buffer per call: _riccati's d comes back as y (and then g)
+        w = wave(branch, alpha, gamma, 0.3)
+        buffers = []
+        riccati = closed_form._riccati
+
+        def spy(w, d):
+            buffers.append(d)
+            return riccati(w, d)
+
+        monkeypatch.setattr(closed_form, "_riccati", spy)
+        xs = eval_points(w)
+        for f in (y_eval, g_eval):
+            assert f(w, xs) is buffers[-1]
+
     @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES[1:4])
     def test_y_pole_window_fires(self, branch, alpha, gamma):
         # y_eval reads d again for its window after _riccati has filled y
@@ -531,6 +565,17 @@ class TestPeriodAndTheta:
     def test_period_requires_supercritical(self):
         with pytest.raises(DomainError):
             xi_period(ModelParams(1.0, 1.0))
+
+    # an infinite period (alpha = 1e308) was printed as inf by `sgwaves period`; at gamma = 1e200,
+    # gamma^2 - 1 overflows and the period read 0
+    @pytest.mark.parametrize("alpha,gamma", [(1e308, 1.5), (1e301, 1.0 + 1e-15), (1.0, 1e200)])
+    def test_period_is_finite_and_positive(self, alpha, gamma):
+        with pytest.raises(DomainError):
+            xi_period(ModelParams(alpha, gamma))
+        kink = TravellingWave(ModelParams(alpha, gamma), WaveBranch.KINK_ARRAY)
+        for f in (g_eval, y_eval):
+            with pytest.raises(DomainError):
+                f(kink, 0.0)
 
     def test_theta_range(self):
         assert theta(0.0) == 0.0

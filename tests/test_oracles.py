@@ -620,6 +620,54 @@ class TestNonFiniteInput:
         with pytest.raises(DomainError):
             solve(ModelParams(1.0, 0.5), 0.0, (-1e308, 1e308))
 
+    # ode_solve_g raised "math domain error" at once; ode_solve_y took 12 s to NoConvergence
+    @pytest.mark.parametrize("solve,start", [(ode_solve_g, -0.0), (ode_solve_y, 0.3), (ode_solve_y, 5.0),
+                                             (ode_solve_y, -math.inf), (ode_solve_y, np.float64(0.3))])
+    def test_ode_infinite_rate_at_start(self, no_pass, solve, start):
+        with pytest.raises(DomainError):
+            solve(ModelParams(1e-300, 1e300), start, (-1.0, -0.5))
+
+    def test_ode_zero_rate_at_start_still_solves(self):
+        # alpha = 5e-324 bounds no rate, but g0 = 0 at gamma = 0 is a fixed point: rate 0
+        sol = ode_solve_g(ModelParams(5e-324, 0.0), 0.0, (0.0, 1.0))
+        assert not sol.ys.any()
+
+    def test_ode_pass_overflowing_later_only_disagrees(self, monkeypatch):
+        # g' = 1e307 carries g past the largest double near xi = 18, where sin(inf)
+        # raised ValueError; the pass is NaN from there and the doubling goes on
+        monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 2**12)
+        passes = []
+        rk4_g = oracles._rk4_g
+
+        def counted(*args):
+            passes.append(rk4_g(*args)[0])
+            return passes[-1], None
+
+        monkeypatch.setattr(oracles, "_rk4_g", counted)
+        with pytest.raises(NoConvergence):
+            ode_solve_g(ModelParams(1.0, 1e307), 0.0, (0.0, 100.0))
+        assert [p.size - 1 for p in passes] == [400, 800, 1600, 3200]
+        assert all(np.isnan(p[-1]) for p in passes)
+
+    # the quadratures warned about an overflow and returned inf
+    @pytest.mark.parametrize("integrate", [lambda: quad_period(ModelParams(1e308, 1.5)),
+                                           lambda: implicit_xi_of_g(ModelParams(1e308, 0.999999), 0.3, -0.0)])
+    def test_quadrature_infinite_integral(self, integrate):
+        with pytest.raises(DomainError):
+            integrate()
+
+    def test_quadrature_finite_panels_infinite_sum(self):
+        # the first panel's nodes see small values and split; its halves are finite, their sum is not
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return np.full_like(s, 6e306) if len(calls) > 1 else 1e306 * (-1.0) ** np.arange(15)
+
+        with pytest.raises(DomainError):
+            adaptive_quadrature(f, 0.0, 40.0, 1e300)
+        assert len(calls) == 3
+
 
 class TestRk4StepCap:
     """No RK4 pass takes more than oracles.MAX_RK4_STEPS steps."""
@@ -683,6 +731,19 @@ class TestRoundingFloorRefusal:
             oracles._halve_until_agree(one_pass, lambda cur, prev: np.array([gaps.pop(0)]),
                                        (0.0, 1.0), 1e-300)
         assert ran == passes
+
+    def test_no_floor_for_infinite_samples(self, monkeypatch):
+        # every other pass overflowed to inf: the gap is inf and so was "n ulps of max|samples|"
+        monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 256)
+        ran = []
+
+        def one_pass(lo, h, n):
+            ran.append(n)
+            return np.full(n + 1, math.inf if len(ran) % 2 else 0.0), None
+
+        with pytest.raises(NoConvergence, match="within"):
+            oracles._halve_until_agree(one_pass, lambda cur, prev: np.abs(cur - prev), (0.0, 1.0), 1e-9)
+        assert ran == [16, 32, 64, 128, 256]
 
 
 def test_ode_solve_y_no_convergence_budget(monkeypatch):

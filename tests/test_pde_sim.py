@@ -702,6 +702,12 @@ class TestEvolve:
         with pytest.raises(DomainError):
             init_from_wave(wave, 128, Circle(1), dt=0.95 * xi_period(wave.params) / 128)
 
+    def test_config_dt_must_match_the_state(self):
+        wave = kink_array_wave()
+        state = init_from_wave(wave, 64, Circle(1))
+        with pytest.raises(DomainError):
+            evolve(state, wave.params, SimConfig(dt=0.5 * state.dt, t_end=1.0))
+
     def test_convergence_second_order(self):
         wave = kink_array_wave()
         period = xi_period(wave.params)
