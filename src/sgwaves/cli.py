@@ -41,8 +41,7 @@ log = logging.getLogger("sgwaves")
 _NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+_fmt = pde_sim.NUMBER_FORMAT.format  # one number as every output writes it
 
 
 def _setup_logging() -> None:
@@ -163,23 +162,15 @@ def cmd_eval(settings: _Settings, args: argparse.Namespace) -> int:
     """Tabulate xi,y,F,g,phi along a xi grid into a CSV file."""
     wave = _wave(settings)
     xs = settings["grid"]
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # an overflow here, not a NaN row in the CSV
-            if wave.branch.is_constant:
-                y = np.full_like(xs, closed_form.constant_y_value(wave.params, wave.branch))
-                phi = np.asarray(closed_form.phi_eval(wave, xs, 0.0))
-                g = phi + math.pi
-            else:
-                y = np.asarray(closed_form.y_eval(wave, xs))
-                g = np.asarray(closed_form.g_eval(wave, xs))
-                phi = g - math.pi
-    except FloatingPointError as exc:
-        raise DomainError(f"xi - xi0 or g overflows on this grid ({exc})") from exc
-    F = np.asarray(closed_form.F_map(y))
-    with open(settings["out"], "w", encoding="utf-8") as fh:
-        fh.write("xi,y,F,g,phi\n")
-        for row in zip(xs, y, F, g, phi):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    if wave.branch.is_constant:
+        y = np.full_like(xs, closed_form.constant_y_value(wave.params, wave.branch))
+        phi = np.asarray(closed_form.phi_eval(wave, xs, 0.0))
+        g = phi + math.pi
+    else:
+        y = np.asarray(closed_form.y_eval(wave, xs))
+        g = np.asarray(closed_form.g_eval(wave, xs))
+        phi = g - math.pi
+    pde_sim.write_csv(settings["out"], "xi,y,F,g,phi", xs, y, closed_form.F_map(y), g, phi)
     log.info("wrote %d rows to %s", len(xs), settings["out"])
     return EXIT_OK
 

@@ -38,8 +38,8 @@ import numpy as np
 from .errors import DomainError
 from .model import TWO_PI, ModelParams, constant_solutions
 
-# Relative half-width of the analytic pole windows inside which y_eval
-# serves y as a signed infinity.
+# Half-width of the analytic pole windows inside which y_eval serves y as a
+# signed infinity, relative to the branch's scale (Xi, alpha or 1/A).
 _POLE_WINDOW = 1e-8
 
 
@@ -160,40 +160,50 @@ def _riccati(wave: TravellingWave, d):
     d is a float array that the caller owns and gives up: each step of the
     branch formula writes into it in place, and it is returned as y.  The
     steps are the same floating-point operations in the same order as the
-    out-of-place formula, so y is the same bit for bit.
+    out-of-place formula, so y is the same bit for bit.  The caller holds
+    np.errstate(all="ignore"): exp runs y to a branch's limit, and tan or
+    k/den to the infinity at a pole; a NaN is the caller's to refuse.
     """
     p = wave.params
     branch = wave.branch
     if branch.is_constant:
         raise DomainError(f"operation not defined for branch {branch.value}")
     turns = 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if branch is WaveBranch.KINK_ARRAY:
-            u = np.divide(d, xi_period(p), d)
-            turns = np.round(u)
-            c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
-            np.multiply(math.pi, np.subtract(u, turns, d), d)
-            np.add(-1.0 / p.gamma, np.multiply(c, np.tan(d, d), d), d)
-        elif branch in (WaveBranch.PURE_SG_DECREASING, WaveBranch.PURE_SG_INCREASING):
-            np.exp(np.divide(d, p.alpha, d), d)
-            if branch is WaveBranch.PURE_SG_DECREASING:
-                np.negative(d, d)
-        elif branch is WaveBranch.DECREASING1:
-            fp = y_fixed_points(p)
-            np.add(1.0, np.exp(np.multiply(subcritical_rate(p), d, d), d), d)
-            np.add(fp.y_minus, np.divide(fp.y_plus - fp.y_minus, d, d), d)
+    if branch is WaveBranch.KINK_ARRAY:
+        u = np.divide(d, xi_period(p), d)
+        turns = np.round(u)
+        c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
+        np.multiply(math.pi, np.subtract(u, turns, d), d)
+        np.add(-1.0 / p.gamma, np.multiply(c, np.tan(d, d), d), d)
+    elif branch in (WaveBranch.PURE_SG_DECREASING, WaveBranch.PURE_SG_INCREASING):
+        np.exp(np.divide(d, p.alpha, d), d)
+        if branch is WaveBranch.PURE_SG_DECREASING:
+            np.negative(d, d)
+    elif branch is WaveBranch.DECREASING1:
+        fp = y_fixed_points(p)
+        np.add(1.0, np.exp(np.multiply(subcritical_rate(p), d, d), d), d)
+        np.add(fp.y_minus, np.divide(fp.y_plus - fp.y_minus, d, d), d)
+    else:
+        if branch is WaveBranch.CRITICAL_KINK:
+            c, k = -1.0, 2.0 * p.alpha
+            den = np.negative(d, d)
         else:
-            if branch is WaveBranch.CRITICAL_KINK:
-                c, k = -1.0, 2.0 * p.alpha
-                den = np.negative(d, d)
-            else:
-                fp = y_fixed_points(p)
-                c, k = fp.y_minus, fp.y_plus - fp.y_minus
-                # expm1 keeps y accurate next to the pole, where 1 - exp(A*d) cancels
-                den = np.negative(np.expm1(np.multiply(subcritical_rate(p), d, d), d), d)
-            turns = np.signbit(den)  # den = -0.0 at d = +0.0, where y = -inf
-            np.add(c, np.divide(k, den, d), d)
+            fp = y_fixed_points(p)
+            c, k = fp.y_minus, fp.y_plus - fp.y_minus
+            # expm1 keeps y accurate next to the pole, where 1 - exp(A*d) cancels
+            den = np.negative(np.expm1(np.multiply(subcritical_rate(p), d, d), d), d)
+        turns = np.signbit(den)  # den = -0.0 at d = +0.0, where y = -inf
+        np.add(c, np.divide(k, den, d), d)
     return d, turns
+
+
+def _difference(a, b, what: str) -> np.ndarray:
+    """a - b in a fresh float array; an overflow is a DomainError, and inf - inf a NaN the caller refuses."""
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            return np.subtract(a, b, np.empty(np.broadcast(a, b).shape))
+    except FloatingPointError:
+        raise DomainError(f"{what} overflows") from None
 
 
 def y_eval(wave: TravellingWave, xi):
@@ -202,26 +212,31 @@ def y_eval(wave: TravellingWave, xi):
     Inside the analytic pole windows (increasing2 and critical_kink at xi0,
     kink_array at xi0 + Xi*(k + 1/2)) the profile is served as a signed
     infinity: +inf approaching a pole from the left, -inf leaving it to the
-    right, +inf at the exact pole (y increases through all of them).
+    right, +inf at the exact pole (y increases through all of them).  An
+    xi - xi0 that overflows, or a NaN y (a NaN xi, or more periods than a
+    double counts), is a DomainError.
     """
     p = wave.params
     arr = np.asarray(xi, dtype=float)
-    d = np.subtract(arr, wave.xi0, np.empty(arr.shape))
-    pole_offset = d
-    if wave.branch is WaveBranch.KINK_ARRAY:
-        scale = xi_period(p)
-        pole_offset = d - scale * (np.round(d / scale - 0.5) + 0.5)
-    elif wave.branch is WaveBranch.CRITICAL_KINK:
-        scale = p.alpha
-    elif wave.branch is WaveBranch.INCREASING2:
-        scale = 1.0 / subcritical_rate(p)
-    else:
+    branch = wave.branch
+    d = _difference(arr, wave.xi0, "xi - xi0")
+    near = None
+    with np.errstate(all="ignore"):
+        if branch in (WaveBranch.KINK_ARRAY, WaveBranch.CRITICAL_KINK, WaveBranch.INCREASING2):
+            pole_offset = d
+            if branch is WaveBranch.KINK_ARRAY:
+                scale = xi_period(p)
+                pole_offset = d - scale * (np.round(d / scale - 0.5) + 0.5)
+            else:
+                scale = p.alpha if branch is WaveBranch.CRITICAL_KINK else 1.0 / subcritical_rate(p)
+            near = np.abs(pole_offset) < _POLE_WINDOW * scale
+            infinities = np.where(pole_offset[near] <= 0.0, math.inf, -math.inf)  # before d turns into y
         y, _ = _riccati(wave, d)
-        return y if arr.ndim else float(y)
-    near = np.abs(pole_offset) < _POLE_WINDOW * max(1.0, scale)
-    infinities = np.where(pole_offset[near] <= 0.0, math.inf, -math.inf)  # before d turns into y
-    y, _ = _riccati(wave, d)
-    y[near] = infinities
+        if math.isnan(np.vdot(y, y)):  # +-inf squares to +inf: only a NaN reads NaN
+            raise DomainError(f"y is NaN at some xi on branch {branch.value} "
+                              "(a NaN xi, or xi - xi0 too large)")
+    if near is not None:
+        y[near] = infinities
     return y if arr.ndim else float(y)
 
 
@@ -231,15 +246,23 @@ def g_eval(wave: TravellingWave, xi):
     This equals the paper's 4*atan(F(y)) for every real y, with turns the
     number of poles of y left of xi taken from the same phase variable as
     y, so g is smooth through every pole: no window, no limit override.
+    An xi - xi0 that overflows, or a g that is not finite (a NaN xi, or more
+    periods than a double counts), is a DomainError.
     """
     arr = np.asarray(xi, dtype=float)
-    g, turns = _riccati(wave, np.subtract(arr, wave.xi0, np.empty(arr.shape)))
-    np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
-    if wave.branch is WaveBranch.KINK_ARRAY:
-        turns *= TWO_PI  # _riccati's own float array, scaled in place: no n-point temporary
-    else:
-        turns = TWO_PI * turns
-    np.add(g, turns, g)
+    d = _difference(arr, wave.xi0, "xi - xi0")
+    with np.errstate(all="ignore"):
+        g, turns = _riccati(wave, d)
+        np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
+        if wave.branch is WaveBranch.KINK_ARRAY:
+            turns *= TWO_PI  # _riccati's own float array, scaled in place: no n-point temporary
+        else:
+            turns = TWO_PI * turns
+        np.add(g, turns, g)
+        # sum(g**2) < inf proves every g finite; only an overflowing sum needs the exact test
+        if not np.vdot(g, g) < math.inf and not np.isfinite(g).all():
+            raise DomainError(f"g is not finite at some xi on branch {wave.branch.value} "
+                              "(a NaN xi, or xi - xi0 too large)")
     return g if arr.ndim else float(g)
 
 
@@ -256,7 +279,7 @@ def phi_eval(wave: TravellingWave, x, t):
         value = cs.phi_s if wave.branch is WaveBranch.CONSTANT_S else cs.phi_u
         shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
         return np.full(shape, value) if shape else value
-    xi = wave.chirality * np.asarray(x, dtype=float) - np.asarray(t, dtype=float)
+    xi = _difference(wave.chirality * np.asarray(x, dtype=float), np.asarray(t, dtype=float), "x - t")
     return g_eval(wave, xi) - math.pi
 
 

@@ -7,10 +7,11 @@ two refinements agree, the period integral is done by adaptive Gauss-Kronrod
 bisection, and the field equation residual is measured with 5-point
 finite-difference stencils on phi_eval.  `_check_interval` (a < b, both
 within half the largest double, tol > 0) is the one interval rule of both
-ODE spans and every quadrature.  A NaN start, g0 = +-inf, a rate that is
-not finite at the start, non-finite g bounds, a non-finite stencil step or
-a first RK4 pass over MAX_RK4_STEPS steps is a DomainError before any work
-(y0 = +-inf is a start on a pole), and so is a non-finite quadrature panel.
+ODE spans and every quadrature.  A NaN start, g0 = +-inf, a start rate
+that moves the state more than one unit in a step of the finest RK4 pass,
+non-finite g bounds, a non-finite stencil step or a first RK4 pass over
+MAX_RK4_STEPS steps is a DomainError before any work (y0 = +-inf is a start
+on a pole), and so is a non-finite quadrature panel or residual.
 MAX_RK4_STEPS and MAX_QUAD_EVALS, read at call time, are the only work
 bounds.  The test suite asserts agreement with the closed forms.
 `CHECKS` is the one table of those checks: each case list and threshold that
@@ -67,7 +68,7 @@ def _check_interval(a, b, tol) -> None:
         raise DomainError(f"tol must be positive, got {tol}")
 
 
-def _halve_until_agree(one_pass, distance, xi_span, tol: float):
+def _halve_until_agree(one_pass, distance, xi_span, tol: float, rate: float):
     """Double n in one_pass(lo, h, n) -> (samples, extra) until two passes agree.
 
     They agree when distance(cur[::2], prev) < tol at every grid point the two
@@ -75,12 +76,19 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float):
     MAX_RK4_STEPS, read at call time, bounds every pass: a longer first pass
     is a DomainError before any step, a longer doubling is NoConvergence, and
     so is a doubling whose distance stops shrinking (truncation's shrinks ~16x)
-    within n ulps of a finite max|samples|, where rounding sets it."""
+    within n ulps of a finite max|samples|, where rounding sets it.  rate is
+    the flow at the start, by the same expression as the first RK4 stage: if
+    even the first step of the finest pass moves the state by more than one
+    unit, no pass resolves the flow, and that is a DomainError before any
+    step too (a rate that is not finite included)."""
     lo, hi = float(xi_span[0]), float(xi_span[1])
     _check_interval(lo, hi, tol)
     first = (hi - lo) * 4.0
     if first > MAX_RK4_STEPS:
         raise DomainError(f"span ({lo}, {hi}) needs more than {MAX_RK4_STEPS} RK4 steps per pass")
+    if not abs(rate) * ((hi - lo) / MAX_RK4_STEPS) <= 1.0:
+        raise DomainError(f"the start rate {rate} moves the state more than 1 per RK4 step over ({lo}, {hi}) "
+                          f"even at {MAX_RK4_STEPS} steps per pass")
     n = n0 = max(16, int(math.ceil(first)))
     prev, _ = one_pass(lo, (hi - lo) / n, n)
     last = math.inf
@@ -125,10 +133,11 @@ def ode_solve_g(params: ModelParams, g0: float, xi_span, tol: float = DEFAULT_OD
     The step is halved until two successive refinements differ by less than
     tol in sup norm at the shared grid points.
     """
-    if not (math.isfinite(g0) and math.isfinite((params.gamma - math.sin(g0)) / params.alpha)):
-        raise DomainError(f"g0 and the rate at g0 must be finite, got g0={g0} at {params}")
+    if not math.isfinite(g0):
+        raise DomainError(f"g0 must be finite, got {g0}")
     xs, ys, _, h, steps = _halve_until_agree(
-        partial(_rk4_g, params, g0), lambda cur, prev: np.abs(cur - prev), xi_span, tol)
+        partial(_rk4_g, params, g0), lambda cur, prev: np.abs(cur - prev), xi_span, tol,
+        (params.gamma - math.sin(g0)) / params.alpha)
     return OdeSolution(xs, ys, h, rk4_steps=steps)
 
 
@@ -193,11 +202,12 @@ def ode_solve_y(params: ModelParams, y0: float, xi_span, tol: float = DEFAULT_OD
     nearest pole event rather than stored as huge values.  y0 = +-inf is a
     start on a pole.
     """
+    if math.isnan(y0):
+        raise DomainError("y0 must not be NaN")
     v, s = (float(y0), 2.0) if abs(y0) <= _CHART_SWAP else (-1.0 / float(y0), -2.0)  # the pass's start
-    if not math.isfinite((s * v + params.gamma * (1.0 + v * v)) / (2.0 * params.alpha)):  # NaN y0 too
-        raise DomainError(f"y0 must not be NaN and the rate at it must be finite; got y0={y0} at {params}")
     xs, _, (ys, poles), h, steps = _halve_until_agree(
-        partial(_integrate_riccati, params, y0), _projective_distance, xi_span, tol)
+        partial(_integrate_riccati, params, y0), _projective_distance, xi_span, tol,
+        (s * v + params.gamma * (1.0 + v * v)) / (2.0 * params.alpha))
     keep = np.abs(ys) <= _BLOWUP_Y
     return OdeSolution(xs[keep], ys[keep], h, poles, rk4_steps=steps)
 
@@ -374,25 +384,30 @@ def pde_residual(wave: TravellingWave, x: float, t: float, h: float) -> float:
 
     Second derivatives use 5-point central stencils of step h on phi_eval.
     phi is smooth through every pole of y, so any point is accepted,
-    poles included.
+    poles included.  A residual that is not finite (a step too fine for the
+    size of phi there, so that a stencil overflows) is a DomainError.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"h must be positive and finite, got {h}")
-    off = h * np.arange(-2.0, 3.0)
-    w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    # one call on both stencils: row 0 is x + off at t, row 1 is x at t + off
-    xs = np.full((2, 5), x, dtype=float)
-    ts = np.full((2, 5), t, dtype=float)
-    xs[0] += off
-    ts[1] += off
-    phi_x5, phi_t5 = phi_eval(wave, xs, ts)
-    phi0 = float(phi_t5[2])
-    phi_tt = float(np.dot(w2, phi_t5))
-    phi_xx = float(np.dot(w2, phi_x5))
-    phi_t = float(np.dot(w1, phi_t5))
+    with np.errstate(all="ignore"):
+        off = h * np.arange(-2.0, 3.0)
+        w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+        w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+        # one call on both stencils: row 0 is x + off at t, row 1 is x at t + off
+        xs = np.full((2, 5), x, dtype=float)
+        ts = np.full((2, 5), t, dtype=float)
+        xs[0] += off
+        ts[1] += off
+        phi_x5, phi_t5 = phi_eval(wave, xs, ts)
+        phi0 = float(phi_t5[2])
+        phi_tt = float(np.dot(w2, phi_t5))
+        phi_xx = float(np.dot(w2, phi_x5))
+        phi_t = float(np.dot(w1, phi_t5))
     p = wave.params
-    return phi_tt - phi_xx + math.sin(phi0) + p.alpha * phi_t + p.gamma
+    residual = phi_tt - phi_xx + math.sin(phi0) + p.alpha * phi_t + p.gamma
+    if not math.isfinite(residual):
+        raise DomainError(f"the residual at x={x}, t={t} with h={h} is not finite")
+    return residual
 
 
 BRANCH_CASES = [  # one wave per non-constant branch: criteria 02, 03 and 05

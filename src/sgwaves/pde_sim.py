@@ -36,6 +36,7 @@ _BLOWUP_SQUARED = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD  # 1e12, exact in float64
 _SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
 MAX_GRID_POINTS = 2**22  # grid size cap: 32 MB per float64 array of the run
 CFL = 0.9  # largest dt/dx; the wave part alone needs dt <= dx
+NUMBER_FORMAT = "{:.17g}"  # every number sgwaves writes: 17 significant digits read back as the same double
 
 
 @dataclass(frozen=True)
@@ -382,18 +383,21 @@ def winding_number(state: FieldState) -> float:
     return float((np.sum(inc) + closing) / TWO_PI)
 
 
+def write_csv(path, header: str, *columns) -> None:
+    """Write a CSV table: the header line, then row i of the columns, each number as NUMBER_FORMAT."""
+    row = ",".join([NUMBER_FORMAT] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row.format(*cells)
+                      for cells in zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))
+
+
 def write_snapshot_csv(state: FieldState, params: ModelParams, path) -> None:
     """Write the grid as CSV rows x,phi,phi_t (phi_t by centered difference)."""
     phi_t, _ = _centered_derivatives(state, params)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,phi,phi_t\n")
-        fh.writelines(f"{x:.17g},{p:.17g},{pt:.17g}\n"
-                      for x, p, pt in zip(state.x.tolist(), state.phi.tolist(), phi_t.tolist()))
+    write_csv(path, "x,phi,phi_t", state.x, state.phi, phi_t)
 
 
 def write_deviation_csv(report: DeviationReport, path) -> None:
     """Write the recorded co-moving deviations as CSV rows t,deviation,shift."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,deviation,shift\n")
-        for t, dev, s in zip(report.times, report.deviation, report.best_shift):
-            fh.write(f"{t:.17g},{dev:.17g},{s:.17g}\n")
+    write_csv(path, "t,deviation,shift", report.times, report.deviation, report.best_shift)

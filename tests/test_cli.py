@@ -451,7 +451,7 @@ class TestSimulate:
         assert "simulation diverged" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra", [["--domain", "torus"], ["--probe", "maybe"]])
+    @pytest.mark.parametrize("extra", [["--domain", "torus"], ["--probe", "maybe"], ["--m", "0"]])
     def test_bad_domain_or_probe_exits_2(self, tmp_path, extra):
         assert main(self.args(tmp_path / "d.csv", extra)) == EXIT_INVALID
         assert not (tmp_path / "d.csv").exists()

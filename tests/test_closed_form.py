@@ -211,6 +211,18 @@ class TestYEval:
         with pytest.raises(DomainError):
             y_eval(w, 0.0)
 
+    # the window was 1e-8*max(1, scale): at alpha = 1e-9 wider than a kink array's whole
+    # period, so y read +-inf at every xi
+    @pytest.mark.parametrize("branch,gamma", [(WaveBranch.INCREASING2, 0.5), (WaveBranch.CRITICAL_KINK, 1.0),
+                                              (WaveBranch.KINK_ARRAY, 1.5)])
+    def test_pole_window_relative_to_the_branch_scale(self, branch, gamma):
+        w = wave(branch, 1e-9, gamma)
+        scale = (xi_period(w.params) if branch is WaveBranch.KINK_ARRAY
+                 else 1e-9 if branch is WaveBranch.CRITICAL_KINK else 1.0 / subcritical_rate(w.params))
+        pole = pole_of(w, 0)[0]
+        assert list(y_eval(w, pole + scale * np.array([-0.5e-8, 0.5e-8]))) == [math.inf, -math.inf]
+        assert np.isfinite(y_eval(w, pole + scale * np.array([-0.25, -2e-8, 2e-8, 0.25]))).all()
+
     @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES[:2])
     def test_subcritical_fixed_point_limits(self, branch, alpha, gamma):
         # y -> y_minus as xi -> +inf and y -> y_plus as xi -> -inf
@@ -404,7 +416,7 @@ def reference_y(w, xi):
         scale = 1.0 / subcritical_rate(w.params)
     else:
         return y
-    near = np.abs(d) < 1e-8 * max(1.0, scale)
+    near = np.abs(d) < 1e-8 * scale
     return np.where(near, np.where(d <= 0.0, math.inf, -math.inf), y)
 
 
@@ -561,6 +573,10 @@ class TestPeriodAndTheta:
 
     def test_period_and_quarter_values(self):
         assert xi_period(ModelParams(1.0, 1.25)) == pytest.approx(8.377580409572783, abs=1e-12)
+
+    def test_rate_requires_gamma_at_most_1(self):
+        with pytest.raises(DomainError):
+            subcritical_rate(ModelParams(1.0, 1.5))
 
     def test_period_requires_supercritical(self):
         with pytest.raises(DomainError):

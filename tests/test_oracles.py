@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -228,6 +229,10 @@ class TestImplicitXiOfG:
         assert implicit_xi_of_g(params, math.pi, 0.0, 1e-10) == pytest.approx(
             -forward, abs=1e-12
         )
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_equal_bounds_give_zero(self, gamma):
+        assert implicit_xi_of_g(ModelParams(1.0, gamma), 1.0, 1.0) == 0.0
 
     def test_singular_endpoint_rejected(self):
         with pytest.raises(DomainError):
@@ -632,9 +637,40 @@ class TestNonFiniteInput:
         sol = ode_solve_g(ModelParams(5e-324, 0.0), 0.0, (0.0, 1.0))
         assert not sol.ys.any()
 
+    def test_ode_slow_start_under_a_fast_bound_still_solves(self):
+        # g' is up to (1 + gamma)/alpha = 2e7, but g starts 2.7e-8 below the semi-stable pi/2 and
+        # creeps there: delta' = -delta**2/(2*alpha) with delta = pi/2 - g, a flow 32 steps resolve
+        alpha, delta0 = 1e-7, math.pi / 2 - 1.5707963
+        sol = ode_solve_g(ModelParams(alpha, 1.0), 1.5707963, (0.0, 1.0))
+        assert sol.ys[-1] == pytest.approx(math.pi / 2 - delta0 / (1.0 + delta0 / (2.0 * alpha)), abs=1e-9)
+
+    # each ran every doubling up to MAX_RK4_STEPS first, 3.9-9.4 s, to NoConvergence; the last
+    # carried g past the largest double near xi = 18, and every pass was NaN from there
+    @pytest.mark.parametrize("solve", [ode_solve_g, ode_solve_y])
+    @pytest.mark.parametrize("params,span", [(ModelParams(1e-300, 0.5), (0.0, 1.0)),
+                                             (ModelParams(1.0, 1e300), (0.0, 1e6)),
+                                             (ModelParams(1.0, 1e307), (0.0, 100.0))])
+    def test_ode_unresolvable_flow_refused_before_a_pass(self, no_pass, solve, params, span):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            solve(params, 0.0, span)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("span,error", [((0.0, 4.0), NoConvergence), ((0.0, 4.2), DomainError)])
+    def test_ode_refusal_at_one_unit_per_finest_step(self, monkeypatch, span, error):
+        # a start rate of 1000 over 4096 steps: 0.98 per step runs the passes, 1.03 does not
+        monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 2**12)
+        passes = []
+        rk4_g = oracles._rk4_g
+        monkeypatch.setattr(oracles, "_rk4_g", lambda *args: passes.append(args[-1]) or rk4_g(*args))
+        with pytest.raises(error):
+            ode_solve_g(ModelParams(1.0, 1000.0), 0.0, span)
+        assert bool(passes) == (error is NoConvergence)
+
     def test_ode_pass_overflowing_later_only_disagrees(self, monkeypatch):
-        # g' = 1e307 carries g past the largest double near xi = 18, where sin(inf)
-        # raised ValueError; the pass is NaN from there and the doubling goes on
+        # a start rate of 2024 (1e-320/5e-324) passes the refusal, but g' = 0.5/5e-324 overflows
+        # in the first step, where sin(inf) raised ValueError; the pass is NaN from there and the
+        # doubling goes on
         monkeypatch.setattr(oracles, "MAX_RK4_STEPS", 2**12)
         passes = []
         rk4_g = oracles._rk4_g
@@ -645,8 +681,8 @@ class TestNonFiniteInput:
 
         monkeypatch.setattr(oracles, "_rk4_g", counted)
         with pytest.raises(NoConvergence):
-            ode_solve_g(ModelParams(1.0, 1e307), 0.0, (0.0, 100.0))
-        assert [p.size - 1 for p in passes] == [400, 800, 1600, 3200]
+            ode_solve_g(ModelParams(5e-324, 1e-320), 0.0, (0.0, 1.0))
+        assert [p.size - 1 for p in passes] == [16 * 2**k for k in range(9)]
         assert all(np.isnan(p[-1]) for p in passes)
 
     # the quadratures warned about an overflow and returned inf
@@ -729,7 +765,7 @@ class TestRoundingFloorRefusal:
 
         with pytest.raises(NoConvergence):
             oracles._halve_until_agree(one_pass, lambda cur, prev: np.array([gaps.pop(0)]),
-                                       (0.0, 1.0), 1e-300)
+                                       (0.0, 1.0), 1e-300, 1.0)
         assert ran == passes
 
     def test_no_floor_for_infinite_samples(self, monkeypatch):
@@ -742,7 +778,7 @@ class TestRoundingFloorRefusal:
             return np.full(n + 1, math.inf if len(ran) % 2 else 0.0), None
 
         with pytest.raises(NoConvergence, match="within"):
-            oracles._halve_until_agree(one_pass, lambda cur, prev: np.abs(cur - prev), (0.0, 1.0), 1e-9)
+            oracles._halve_until_agree(one_pass, lambda cur, prev: np.abs(cur - prev), (0.0, 1.0), 1e-9, 1.0)
         assert ran == [16, 32, 64, 128, 256]
 
 

@@ -121,6 +121,12 @@ class TestInitFromWave:
                 pde_sim.domain_grid(wave, pde_sim.MAX_GRID_POINTS + 1, domain)
 
 
+    @pytest.mark.parametrize("domain", [Circle(0), Circle(-1), (-20.0, 20.0)])
+    def test_circle_without_winding_or_unknown_domain_rejected(self, domain):
+        with pytest.raises(DomainError):
+            pde_sim.domain_grid(kink_array_wave(), 64, domain)
+
+
 GEOMETRY_SETTINGS = settings(deadline=None, derandomize=True, database=None, max_examples=40)
 alphas, xi0s, chiralities = st.floats(0.2, 2.0), st.floats(-10.0, 10.0), st.sampled_from([1, -1])
 grid_sizes = st.integers(64, 300)
