@@ -120,7 +120,6 @@ class TestInitFromWave:
             with pytest.raises(DomainError):
                 pde_sim.domain_grid(wave, pde_sim.MAX_GRID_POINTS + 1, domain)
 
-
     @pytest.mark.parametrize("domain", [Circle(0), Circle(-1), (-20.0, 20.0)])
     def test_circle_without_winding_or_unknown_domain_rejected(self, domain):
         with pytest.raises(DomainError):
