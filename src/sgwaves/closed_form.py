@@ -197,13 +197,14 @@ def _riccati(wave: TravellingWave, d):
     return d, turns
 
 
-def _difference(a, b, what: str) -> np.ndarray:
-    """a - b in a fresh float array; an overflow is a DomainError, and inf - inf a NaN the caller refuses."""
+def _offset(wave: TravellingWave, xi, t=None) -> np.ndarray:
+    """xi - xi0, or (xi - t) - xi0, in a fresh float array; an overflow is a DomainError, inf - inf a NaN."""
+    out = np.empty(np.shape(xi) if t is None else np.broadcast(xi, t).shape)
     try:
         with np.errstate(over="raise", invalid="ignore"):
-            return np.subtract(a, b, np.empty(np.broadcast(a, b).shape))
+            return np.subtract(xi if t is None else np.subtract(xi, t, out), wave.xi0, out)
     except FloatingPointError:
-        raise DomainError(f"{what} overflows") from None
+        raise DomainError("xi - xi0 overflows") from None
 
 
 def y_eval(wave: TravellingWave, xi):
@@ -219,7 +220,7 @@ def y_eval(wave: TravellingWave, xi):
     p = wave.params
     arr = np.asarray(xi, dtype=float)
     branch = wave.branch
-    d = _difference(arr, wave.xi0, "xi - xi0")
+    d = _offset(wave, arr)
     near = None
     with np.errstate(all="ignore"):
         if branch in (WaveBranch.KINK_ARRAY, WaveBranch.CRITICAL_KINK, WaveBranch.INCREASING2):
@@ -232,12 +233,28 @@ def y_eval(wave: TravellingWave, xi):
             near = np.abs(pole_offset) < _POLE_WINDOW * scale
             infinities = np.where(pole_offset[near] <= 0.0, math.inf, -math.inf)  # before d turns into y
         y, _ = _riccati(wave, d)
-        if math.isnan(np.vdot(y, y)):  # +-inf squares to +inf: only a NaN reads NaN
-            raise DomainError(f"y is NaN at some xi on branch {branch.value} "
-                              "(a NaN xi, or xi - xi0 too large)")
+    if np.isnan(y).any():
+        raise DomainError(f"y is NaN at some xi on branch {branch.value} "
+                          "(a NaN xi, or xi - xi0 too large)")
     if near is not None:
         y[near] = infinities
     return y if arr.ndim else float(y)
+
+
+def _g(wave: TravellingWave, d) -> np.ndarray:
+    """g at d = xi - xi0, which it takes over as _riccati does; a g that is not finite is a DomainError."""
+    with np.errstate(all="ignore"):
+        g, turns = _riccati(wave, d)
+        np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
+        if wave.branch is WaveBranch.KINK_ARRAY:
+            turns *= TWO_PI  # _riccati's own float array, scaled in place: no n-point temporary
+        else:
+            turns = TWO_PI * turns
+        np.add(g, turns, g)
+    if not np.isfinite(g).all():
+        raise DomainError(f"g is not finite at some xi on branch {wave.branch.value} "
+                          "(a NaN xi, or xi - xi0 too large)")
+    return g
 
 
 def g_eval(wave: TravellingWave, xi):
@@ -250,19 +267,7 @@ def g_eval(wave: TravellingWave, xi):
     periods than a double counts), is a DomainError.
     """
     arr = np.asarray(xi, dtype=float)
-    d = _difference(arr, wave.xi0, "xi - xi0")
-    with np.errstate(all="ignore"):
-        g, turns = _riccati(wave, d)
-        np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
-        if wave.branch is WaveBranch.KINK_ARRAY:
-            turns *= TWO_PI  # _riccati's own float array, scaled in place: no n-point temporary
-        else:
-            turns = TWO_PI * turns
-        np.add(g, turns, g)
-        # sum(g**2) < inf proves every g finite; only an overflowing sum needs the exact test
-        if not np.vdot(g, g) < math.inf and not np.isfinite(g).all():
-            raise DomainError(f"g is not finite at some xi on branch {wave.branch.value} "
-                              "(a NaN xi, or xi - xi0 too large)")
+    g = _g(wave, _offset(wave, arr))
     return g if arr.ndim else float(g)
 
 
@@ -279,8 +284,9 @@ def phi_eval(wave: TravellingWave, x, t):
         value = cs.phi_s if wave.branch is WaveBranch.CONSTANT_S else cs.phi_u
         shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
         return np.full(shape, value) if shape else value
-    xi = _difference(wave.chirality * np.asarray(x, dtype=float), np.asarray(t, dtype=float), "x - t")
-    return g_eval(wave, xi) - math.pi
+    phi = _g(wave, _offset(wave, wave.chirality * np.asarray(x, dtype=float), np.asarray(t, dtype=float)))
+    phi -= math.pi
+    return phi if phi.ndim else float(phi)
 
 
 def g_limits(wave: TravellingWave) -> tuple[float, float]:

@@ -1,7 +1,6 @@
 import heapq
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -651,10 +650,8 @@ class TestNonFiniteInput:
                                              (ModelParams(1.0, 1e300), (0.0, 1e6)),
                                              (ModelParams(1.0, 1e307), (0.0, 100.0))])
     def test_ode_unresolvable_flow_refused_before_a_pass(self, no_pass, solve, params, span):
-        start = time.perf_counter()
         with pytest.raises(DomainError):
             solve(params, 0.0, span)
-        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("span,error", [((0.0, 4.0), NoConvergence), ((0.0, 4.2), DomainError)])
     def test_ode_refusal_at_one_unit_per_finest_step(self, monkeypatch, span, error):

@@ -1,6 +1,6 @@
 """Check that a change keeps sgwaves' outputs byte-identical to a base revision.
 
-    python tools/fidelity.py --base REV [--sweep N]
+    python tools/fidelity.py --base REV
 
 exports REV with `git archive` into a temporary directory, then runs this
 script's digest mode once against REV's `src/` and once against the working
@@ -13,9 +13,11 @@ digests.  It covers:
   `--corrupt-gamma-sign`, and by `period` and `limits`;
 * `closed_form/...`: g_eval, y_eval and phi_eval tables, extreme arguments
   included (a refusal is recorded by its exception type);
-* `sweep/...`: N seeded `ode_solve_g`/`ode_solve_y` solves (xs, ys,
-  step_used, pole_events, rk4_steps, or the exception type);
-* `tier1/...`: every RK4 solve the tier-1 suite makes, by test id;
+* `sweep/...`: SWEEP seeded `ode_solve_g`/`ode_solve_y` solves (xs, ys,
+  step_used, pole_events, rk4_steps, or the exception type), at a cap of
+  SWEEP_CAP RK4 steps per pass;
+* `tier1/...`: every RK4 solve the tier-1 suite makes, by test id (a
+  failing tier-1 test fails the digest run);
 * `oracle_sweep/...`: the error dicts of 100 seeded tasks of the
   benchmark's oracle_sweep workload.
 
@@ -24,6 +26,14 @@ that is finite and raised no numpy warning) that differs, or that the
 change refuses, fails the check (exit 1).  A base refusal or unclean output
 whose outcome changed is listed, and keys only one side has are counted;
 neither fails it.
+
+Only the sweep lowers the cap: a solve that converges under SWEEP_CAP gives
+the same solution under the shipped MAX_RK4_STEPS, and the refusal rule
+(|rate|*span/MAX_RK4_STEPS > 1) refuses no more there, so the sweep checks
+a subset of what the shipped cap runs, where the rule bites hardest.  A
+solve that converges only between the two caps is a base refusal in the
+sweep and is covered by the tier-1 and oracle_sweep groups alone, which run
+at the shipped cap.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import tempfile
 import warnings
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -49,6 +60,8 @@ ROOT = Path(__file__).resolve().parents[1]
 REFUSALS = ("DomainError", "NoConvergence")
 UNCLEAN = "unclean "  # marks an output that warned, or holds a NaN (for g and phi, an infinity)
 GROUPS = ("cli", "closed_form", "sweep", "tier1", "oracle_sweep")
+SWEEP = 1200  # seeded RK4 solves in the sweep
+SWEEP_CAP = 2**16  # RK4 steps per pass in the sweep, which bounds the work of a solve that does not converge
 
 
 def digest(*parts) -> str:
@@ -152,22 +165,22 @@ def solution(sol):
     return [sol.xs, sol.ys, sol.step_used, sol.pole_events, sol.rk4_steps]
 
 
-def sweep_digests(out: dict, count: int) -> None:
-    """count seeded solves at a cap of 2**16 RK4 steps per pass, where the refusal rule bites hardest."""
+def sweep_digests(out: dict) -> None:
+    """SWEEP seeded solves at a cap of SWEEP_CAP RK4 steps per pass; the shipped cap is restored after."""
     from sgwaves import oracles
     from sgwaves.model import ModelParams
-    oracles.MAX_RK4_STEPS = 2**16  # bounds the work of a solve that does not converge
     rng = np.random.default_rng(1729)
-    for i in range(count):
-        alpha = float(rng.choice([rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-4.0, 2.0)]))
-        gamma = float(rng.choice([rng.uniform(0.0, 1.0), rng.uniform(1.0, 4.0), 1.0, 0.0]))
-        start = float(rng.uniform(-8.0, 8.0))
-        lo = float(rng.uniform(-10.0, 10.0))
-        hi = lo + float(rng.choice([rng.uniform(0.01, 12.0), 10.0 ** rng.uniform(-3.0, 3.0)]))
-        tol = float(rng.choice([1e-9, 1e-6, 1e-11, 1e-3]))
-        solve = oracles.ode_solve_g if i % 2 else oracles.ode_solve_y
-        params = ModelParams(alpha, gamma)
-        out[f"sweep/{i:05d}"] = outcome(lambda: solution(solve(params, start, (lo, hi), tol)))
+    with mock.patch.object(oracles, "MAX_RK4_STEPS", SWEEP_CAP):
+        for i in range(SWEEP):
+            alpha = float(rng.choice([rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-4.0, 2.0)]))
+            gamma = float(rng.choice([rng.uniform(0.0, 1.0), rng.uniform(1.0, 4.0), 1.0, 0.0]))
+            start = float(rng.uniform(-8.0, 8.0))
+            lo = float(rng.uniform(-10.0, 10.0))
+            hi = lo + float(rng.choice([rng.uniform(0.01, 12.0), 10.0 ** rng.uniform(-3.0, 3.0)]))
+            tol = float(rng.choice([1e-9, 1e-6, 1e-11, 1e-3]))
+            solve = oracles.ode_solve_g if i % 2 else oracles.ode_solve_y
+            params = ModelParams(alpha, gamma)
+            out[f"sweep/{i:05d}"] = outcome(lambda: solution(solve(params, start, (lo, hi), tol)))
 
 
 class Tier1Recorder:
@@ -207,17 +220,23 @@ def oracle_sweep_digests(out: dict, tree: Path) -> None:
         out[f"oracle_sweep/{i:03d}"] = digest(sorted(workload.run(task).items()))
 
 
-def digest_tree(tree: Path, json_out: Path, count: int) -> None:
+def digest_tree(tree: Path, json_out: Path) -> int:
+    """Write tree's digests to json_out; 1, after the suite's report, when a tier-1 test fails."""
     import pytest
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as work:
         cli_digests(out, Path(work))
     closed_form_digests(out)
-    sweep_digests(out, count)
+    sweep_digests(out)
     oracle_sweep_digests(out, tree)
-    with contextlib.redirect_stdout(io.StringIO()):
-        pytest.main([str(tree / "tests"), "-q", "-p", "no:cacheprovider"], plugins=[Tier1Recorder(out)])
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = pytest.main([str(tree / "tests"), "-q", "-p", "no:cacheprovider"], plugins=[Tier1Recorder(out)])
+    if code != 0:
+        print(report.getvalue(), file=sys.stderr)
+        return 1
     json_out.write_text(json.dumps(out, indent=0, sort_keys=True))
+    return 0
 
 
 def compare(base: dict, change: dict) -> int:
@@ -241,13 +260,11 @@ def compare(base: dict, change: dict) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
-    parser.add_argument("--sweep", type=int, default=1200, help="seeded RK4 solves in the sweep")
     parser.add_argument("--digest", type=Path, help=argparse.SUPPRESS)  # child mode: a tree to digest
     parser.add_argument("--json-out", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.digest:
-        digest_tree(args.digest, args.json_out, args.sweep)
-        return 0
+        return digest_tree(args.digest, args.json_out)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base],
@@ -258,8 +275,8 @@ def main() -> int:
         for name, tree in (("base", tmp / "base"), ("change", ROOT)):
             json_out = tmp / f"{name}.json"
             env = {**os.environ, "PYTHONPATH": str(tree / "src"), "SGW_LOG": "quiet"}
-            subprocess.run([sys.executable, __file__, "--digest", str(tree), "--json-out", str(json_out),
-                            "--sweep", str(args.sweep)], env=env, cwd=tmp, check=True)
+            subprocess.run([sys.executable, __file__, "--digest", str(tree), "--json-out", str(json_out)],
+                           env=env, cwd=tmp, check=True)
             results.append(json.loads(json_out.read_text()))
     return compare(*results)
 
