@@ -214,8 +214,8 @@ def y_eval(wave: TravellingWave, xi):
     kink_array at xi0 + Xi*(k + 1/2)) the profile is served as a signed
     infinity: +inf approaching a pole from the left, -inf leaving it to the
     right, +inf at the exact pole (y increases through all of them).  An
-    xi - xi0 that overflows, or a NaN y (a NaN xi, or more periods than a
-    double counts), is a DomainError.
+    xi - xi0 that overflows, a kink-array xi - xi0 of 2**52 periods or more
+    (no phase left to give y), or a NaN y (a NaN xi) is a DomainError.
     """
     p = wave.params
     arr = np.asarray(xi, dtype=float)
@@ -227,6 +227,11 @@ def y_eval(wave: TravellingWave, xi):
             pole_offset = d
             if branch is WaveBranch.KINK_ARRAY:
                 scale = xi_period(p)
+                # from 2**52 periods on every double is a whole number of them; rounding is
+                # monotone, so this is the largest |u| of u = d/scale (a NaN passes to its own refusal)
+                if np.abs(d).max(initial=0.0) / scale >= 2.0**52:
+                    raise DomainError("y has no phase left at some xi on branch kink_array "
+                                      "(xi - xi0 is 2**52 periods or more)")
                 pole_offset = d - scale * (np.round(d / scale - 0.5) + 0.5)
             else:
                 scale = p.alpha if branch is WaveBranch.CRITICAL_KINK else 1.0 / subcritical_rate(p)
@@ -234,8 +239,7 @@ def y_eval(wave: TravellingWave, xi):
             infinities = np.where(pole_offset[near] <= 0.0, math.inf, -math.inf)  # before d turns into y
         y, _ = _riccati(wave, d)
     if np.isnan(y).any():
-        raise DomainError(f"y is NaN at some xi on branch {branch.value} "
-                          "(a NaN xi, or xi - xi0 too large)")
+        raise DomainError(f"y is NaN at some xi on branch {branch.value} (a NaN xi)")
     if near is not None:
         y[near] = infinities
     return y if arr.ndim else float(y)

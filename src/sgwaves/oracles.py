@@ -45,6 +45,7 @@ DEFAULT_QUAD_TOL = 1e-10
 MAX_QUAD_EVALS = 10**6
 MAX_RK4_STEPS = 2**22  # per refinement pass, like pde_sim.MAX_GRID_POINTS (32 MB of samples)
 _MAX_BOUND = sys.float_info.max / 2  # keeps the width b - a and every panel's pa + pb finite
+_UNITS_PER_ONE = 2**1074  # every finite double is a whole number of 2**-1074
 _BLOWUP_Y = 1e12     # |y| beyond this is reported as a pole in the samples
 _CHART_SWAP = 1.0    # |y| (or |z|) beyond this switches the projective chart
 
@@ -247,16 +248,21 @@ _GWEIGHTS[1:14:2] = np.concatenate([_WG[:3], _WG[3:], _WG[2::-1]])
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 estimate of the panel integral plus an embedded error bound."""
+    """Kronrod-15 estimate of the panel integral plus an embedded error bound, under the caller's np.errstate."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    with np.errstate(all="ignore"):  # an overflow in f or np.dot is a non-finite panel: refused below
-        fx = f(mid + half * _NODES)
-        ik = half * float(np.dot(_KWEIGHTS, fx))
-        ig = half * float(np.dot(_GWEIGHTS, fx))
-    if not abs(ik - ig) < math.inf:  # also NaN: ik or ig is not finite
+    fx = f(mid + half * _NODES)
+    ik = half * float(np.dot(_KWEIGHTS, fx))
+    ig = half * float(np.dot(_GWEIGHTS, fx))
+    if not abs(ik - ig) < math.inf:  # also NaN: ik or ig is not finite, e.g. f or np.dot overflowed
         raise DomainError(f"the integral over the panel ({a}, {b}) is not finite")
     return ik, abs(ik - ig)
+
+
+def _units(err: float) -> int:
+    """err exactly, in units of 2**-1074 (the spacing of the subnormal doubles)."""
+    num, den = err.as_integer_ratio()  # den is a power of two, at most 2**1074
+    return num << (1075 - den.bit_length())
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
@@ -264,41 +270,34 @@ def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
 
     Each panel carries a 15-point Kronrod value plus a 7-point embedded
     error estimate; the panel with the largest estimate is split until the
-    total estimate, an exact fsum, drops below tol.  MAX_QUAD_EVALS, read at
-    call time, bounds the evaluations.  f must accept numpy arrays.
+    total estimate drops below tol.  MAX_QUAD_EVALS, read at call time,
+    bounds the evaluations.  f must accept numpy arrays.
 
-    A running total of the panel errors spares most fsums.  Its three
-    roundings per split are each at most half an ulp of their result, so
-    `drift` (a whole ulp each) bounds |running - exact sum|: a skipped fsum has
-    exact sum >= running - drift > tol and, rounding being monotone, would have
-    read > tol too.  So the splits are those of an fsum at every split.
+    The total is kept exactly, in _units.  int / int rounds correctly, so
+    the total read as a float is the fsum of the panel errors.
     """
     _check_interval(a, b, tol)
-    try:
-        value, err = _gk15(f, a, b)
-        heap = [(-err, 0, a, b, value, err)]
-        count = 1  # panels made, 15 evaluations each
-        total_err = running = err
-        drift = 0.0
-        while total_err > tol:
-            if 15 * count >= MAX_QUAD_EVALS:
-                raise NoConvergence(f"quadrature tolerance {tol} unreachable within {MAX_QUAD_EVALS} evaluations")
-            _, _, pa, pb, pv, perr = heapq.heappop(heap)
-            pm = 0.5 * (pa + pb)
-            lv, le = _gk15(f, pa, pm)
-            rv, re = _gk15(f, pm, pb)
-            heapq.heappush(heap, (-le, (count := count + 1), pa, pm, lv, le))
-            heapq.heappush(heap, (-re, (count := count + 1), pm, pb, rv, re))
-            pair = le + re
-            change = pair - perr
-            running += change
-            drift += math.ulp(pair) + math.ulp(change) + math.ulp(running)
-            if not running - drift > tol:
-                total_err = running = math.fsum(item[5] for item in heap)
-                drift = math.ulp(running)
-        return math.fsum(item[4] for item in heap)
-    except OverflowError as exc:  # fsum of finite panels whose sum is not
-        raise DomainError(f"the integral over ({a}, {b}) is not finite") from exc
+    with np.errstate(all="ignore"):  # once per quadrature, not per panel (2 us each); _gk15 refuses overflows
+        try:
+            value, err = _gk15(f, a, b)
+            total = _units(err)
+            heap = [(-err, 0, a, b, value, total)]  # each panel's error also in _units
+            count = 1  # panels made, 15 evaluations each
+            while total / _UNITS_PER_ONE > tol:
+                if 15 * count >= MAX_QUAD_EVALS:
+                    raise NoConvergence(f"quadrature tolerance {tol} unreachable "
+                                        f"within {MAX_QUAD_EVALS} evaluations")
+                _, _, pa, pb, _, punits = heapq.heappop(heap)
+                pm = 0.5 * (pa + pb)
+                lv, le = _gk15(f, pa, pm)
+                rv, re = _gk15(f, pm, pb)
+                lunits, runits = _units(le), _units(re)
+                heapq.heappush(heap, (-le, (count := count + 1), pa, pm, lv, lunits))
+                heapq.heappush(heap, (-re, (count := count + 1), pm, pb, rv, runits))
+                total += lunits + runits - punits
+            return math.fsum(item[4] for item in heap)
+        except OverflowError as exc:  # finite panels whose error total or value sum is not
+            raise DomainError(f"the integral over ({a}, {b}) is not finite") from exc
 
 
 def _xi_integrand(params: ModelParams):

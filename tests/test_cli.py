@@ -168,6 +168,7 @@ class TestEval:
         "--alpha 1 --gamma 1.5 --branch kink_array --xi0=-1e308 --grid=0:1e308:3",
         "--alpha 1 --gamma 0 --branch pure_sg_increasing --xi0=-1e308 --grid=0:1e308:4",
         "--alpha 1e-300 --gamma 1.5 --branch kink_array --grid=0:1e300:3",  # d/Xi overflows
+        "--alpha 1e-300 --gamma 1.5 --branch kink_array --grid=0:1e-10:3",  # y = inf at 1e289 periods
     ])
     def test_overflowing_grid_exits_2(self, tmp_path, argv):
         out = tmp_path / "x.csv"

@@ -211,6 +211,21 @@ class TestYEval:
         with pytest.raises(DomainError):
             y_eval(w, 0.0)
 
+    # from 2**52 periods on every double is a whole number of them: y read inf (in the
+    # pole window) or -1/gamma there; g = 2*pi*u stays right to its own ulp
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_kink_array_without_phase_refused(self, sign):
+        w = wave(WaveBranch.KINK_ARRAY, 0.7, 1.5)
+        period = xi_period(w.params)
+        near, far = sign * (2.0**52 - 1.0) * period, sign * 2.0**52 * period
+        assert np.isfinite(y_eval(w, np.array([0.3, near]))).all()
+        for xi in (far, np.array([0.3, far])):
+            with pytest.raises(DomainError, match="no phase left"):
+                y_eval(w, xi)
+        assert np.isfinite(g_eval(w, far)) and np.isfinite(phi_eval(w, far, 0.0))
+        with pytest.raises(DomainError, match="a NaN xi"):
+            y_eval(w, np.array([math.nan, near]))  # a NaN xi keeps its own refusal
+
     # the window was 1e-8*max(1, scale): at alpha = 1e-9 wider than a kink array's whole
     # period, so y read +-inf at every xi
     @pytest.mark.parametrize("branch,gamma", [(WaveBranch.INCREASING2, 0.5), (WaveBranch.CRITICAL_KINK, 1.0),
@@ -436,6 +451,17 @@ def eval_points(w):
     return np.concatenate([xs, special])
 
 
+def y_points(w, xs):
+    """xs less +-1e300 on the kink array: 2**52 periods or more from xi0, where y_eval refuses."""
+    if w.branch is not WaveBranch.KINK_ARRAY:
+        return xs
+    huge = np.abs(xs) == 1e300
+    for xi in (xs, *xs[huge]):
+        with pytest.raises(DomainError, match="no phase left"):
+            y_eval(w, xi)
+    return xs[~huge]
+
+
 class TestInPlaceEval:
     """g_eval and y_eval write into one private buffer; the out-of-place formulas are the reference."""
 
@@ -444,9 +470,9 @@ class TestInPlaceEval:
     def test_matches_reference_bit_for_bit(self, branch, alpha, gamma, xi0):
         w = wave(branch, alpha, gamma, xi0)
         xs = eval_points(w)
-        for xi in (xs, xs[::3], xs[:60].reshape(6, 10)):
-            assert same_bits(g_eval(w, xi), reference_g(w, xi))
-            assert same_bits(y_eval(w, xi), reference_y(w, xi))
+        for points, f, reference in ((xs, g_eval, reference_g), (y_points(w, xs), y_eval, reference_y)):
+            for xi in (points, points[::3], points[:60].reshape(6, 10)):
+                assert same_bits(f(w, xi), reference(w, xi))
 
     @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
     def test_input_unchanged(self, branch, alpha, gamma):
@@ -454,7 +480,7 @@ class TestInPlaceEval:
         xs = eval_points(w)
         before = xs.copy()
         g_eval(w, xs)
-        y_eval(w, xs)
+        y_eval(w, y_points(w, xs))
         phi_eval(w, xs, 0.2)
         phi_eval(w, 0.2, xs)
         assert same_bits(xs, before)
@@ -490,8 +516,8 @@ class TestInPlaceEval:
 
         monkeypatch.setattr(closed_form, "_riccati", spy)
         xs = eval_points(w)
-        for f in (y_eval, g_eval):
-            assert f(w, xs) is buffers[-1]
+        for f, xi in ((y_eval, y_points(w, xs)), (g_eval, xs)):
+            assert f(w, xi) is buffers[-1]
 
     @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES[1:4])
     def test_y_pole_window_fires(self, branch, alpha, gamma):

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +194,41 @@ class TestQuadratureRunningTotal:
         monkeypatch.setattr(oracles, "math", CountingMath())
         with pytest.raises(NoConvergence):
             quad_period(ModelParams(1.0, 1.000001))
+
+
+MAX = sys.float_info.max
+
+
+def error_lists():
+    """Panel error lists: random magnitudes, zeros, subnormals and exact halfway cases."""
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 3, 10, 100, 1000):
+        for _ in range(20):
+            yield list(10.0 ** rng.uniform(-320.0, 300.0, size))
+        yield list(5e-324 * rng.integers(0, 2**20, size).astype(float))  # subnormals
+    yield [0.0]
+    yield [0.0, 0.0, 5e-324]
+    yield [1.0, 2**-53]                        # a tie, to even: 1.0
+    yield [1.0, 2**-53, 2**-1074]              # just past the tie: up
+    yield [1.0 + 2**-52, 2**-53]               # a tie, to even: up
+    yield [MAX, math.ulp(MAX) / 4]             # still the largest double
+    yield [1e300] * 1000 + [1e-300, 5e-324] * 10
+
+
+class TestQuadratureExactTotal:
+    """The error total in _units, read back as a float, is the fsum of the errors bit for bit."""
+
+    def test_units_total_is_the_fsum(self):
+        for errors in error_lists():
+            total = sum(map(oracles._units, errors)) / 2**1074
+            assert total.hex() == math.fsum(errors).hex(), errors
+
+    @pytest.mark.parametrize("errors", [[MAX, MAX], [MAX, math.ulp(MAX) / 2], [1e308] * 2 + [0.0]])
+    def test_total_past_the_largest_double_overflows(self, errors):
+        with pytest.raises(OverflowError):
+            math.fsum(errors)
+        with pytest.raises(OverflowError):
+            sum(map(oracles._units, errors)) / 2**1074
 
 
 class TestImplicitXiOfG:
