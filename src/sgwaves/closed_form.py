@@ -38,10 +38,6 @@ import numpy as np
 from .errors import DomainError
 from .model import TWO_PI, ModelParams, constant_solutions
 
-# Half-width of the analytic pole windows inside which y_eval serves y as a
-# signed infinity, relative to the branch's scale (Xi, alpha or 1/A).
-_POLE_WINDOW = 1e-8
-
 
 class WaveBranch(Enum):
     CONSTANT_S = "constant_s"
@@ -151,7 +147,7 @@ def F_map(y):
 
 
 def _riccati(wave: TravellingWave, d):
-    """Window-free y at d = xi - xi0 and the number of poles of y left of xi.
+    """y at d = xi - xi0 and the number of poles of y left of xi.
 
     Both come from one phase variable, so they agree on which side of a
     pole d lies: round(u) on the kink array, and on increasing2 and
@@ -161,8 +157,8 @@ def _riccati(wave: TravellingWave, d):
     branch formula writes into it in place, and it is returned as y.  The
     steps are the same floating-point operations in the same order as the
     out-of-place formula, so y is the same bit for bit.  The caller holds
-    np.errstate(all="ignore"): exp runs y to a branch's limit, and tan or
-    k/den to the infinity at a pole; a NaN is the caller's to refuse.
+    np.errstate(all="ignore"): exp runs y to a branch's limit, and k/den
+    to an infinity at d = +-0; a NaN is the caller's to refuse.
     """
     p = wave.params
     branch = wave.branch
@@ -208,40 +204,26 @@ def _offset(wave: TravellingWave, xi, t=None) -> np.ndarray:
 
 
 def y_eval(wave: TravellingWave, xi):
-    """Riccati profile y(xi) for a non-constant branch.
+    """Riccati profile y(xi) for a non-constant branch: _riccati's formula at every xi.
 
-    Inside the analytic pole windows (increasing2 and critical_kink at xi0,
-    kink_array at xi0 + Xi*(k + 1/2)) the profile is served as a signed
-    infinity: +inf approaching a pole from the left, -inf leaving it to the
-    right, +inf at the exact pole (y increases through all of them).  An
-    xi - xi0 that overflows, a kink-array xi - xi0 of 2**52 periods or more
-    (no phase left to give y), or a NaN y (a NaN xi) is a DomainError.
+    Next to a pole (increasing2 and critical_kink at xi0, kink_array at
+    xi0 + Xi*(k + 1/2)) y grows like 1/(xi - pole); it is +-inf only where
+    the formula divides by zero or overflows (d = -0.0 gives +inf and
+    d = +0.0 gives -inf on increasing2 and critical_kink).  An xi - xi0
+    that overflows, a kink-array xi - xi0 of 2**52 periods or more (no phase
+    left to give y), or a NaN y (a NaN xi) is a DomainError.
     """
-    p = wave.params
     arr = np.asarray(xi, dtype=float)
-    branch = wave.branch
     d = _offset(wave, arr)
-    near = None
     with np.errstate(all="ignore"):
-        if branch in (WaveBranch.KINK_ARRAY, WaveBranch.CRITICAL_KINK, WaveBranch.INCREASING2):
-            pole_offset = d
-            if branch is WaveBranch.KINK_ARRAY:
-                scale = xi_period(p)
-                # from 2**52 periods on every double is a whole number of them; rounding is
-                # monotone, so this is the largest |u| of u = d/scale (a NaN passes to its own refusal)
-                if np.abs(d).max(initial=0.0) / scale >= 2.0**52:
-                    raise DomainError("y has no phase left at some xi on branch kink_array "
-                                      "(xi - xi0 is 2**52 periods or more)")
-                pole_offset = d - scale * (np.round(d / scale - 0.5) + 0.5)
-            else:
-                scale = p.alpha if branch is WaveBranch.CRITICAL_KINK else 1.0 / subcritical_rate(p)
-            near = np.abs(pole_offset) < _POLE_WINDOW * scale
-            infinities = np.where(pole_offset[near] <= 0.0, math.inf, -math.inf)  # before d turns into y
+        # from 2**52 periods on every double is a whole number of them; rounding is
+        # monotone, so this is the largest |u| of u = d/Xi (a NaN passes to its own refusal)
+        if wave.branch is WaveBranch.KINK_ARRAY and np.abs(d).max(initial=0.0) / xi_period(wave.params) >= 2.0**52:
+            raise DomainError("y has no phase left at some xi on branch kink_array "
+                              "(xi - xi0 is 2**52 periods or more)")
         y, _ = _riccati(wave, d)
     if np.isnan(y).any():
-        raise DomainError(f"y is NaN at some xi on branch {branch.value} (a NaN xi)")
-    if near is not None:
-        y[near] = infinities
+        raise DomainError(f"y is NaN at some xi on branch {wave.branch.value} (a NaN xi)")
     return y if arr.ndim else float(y)
 
 
@@ -266,7 +248,7 @@ def g_eval(wave: TravellingWave, xi):
 
     This equals the paper's 4*atan(F(y)) for every real y, with turns the
     number of poles of y left of xi taken from the same phase variable as
-    y, so g is smooth through every pole: no window, no limit override.
+    y, so g is smooth through every pole.
     An xi - xi0 that overflows, or a g that is not finite (a NaN xi, or more
     periods than a double counts), is a DomainError.
     """
@@ -294,20 +276,17 @@ def phi_eval(wave: TravellingWave, x, t):
 
 
 def g_limits(wave: TravellingWave) -> tuple[float, float]:
-    """Asymptotic values (lim xi->-inf, lim xi->+inf) of g; gamma <= 1 only."""
+    """Asymptotic values (lim xi->-inf, lim xi->+inf) of g; gamma <= 1 only.
+
+    With a = asin(gamma), g leaves pi - a and ends at a, or a turn above a
+    on the branches where g rises.
+    """
     branch = wave.branch
     if branch.is_constant or branch is WaveBranch.KINK_ARRAY:
         raise DomainError(f"g has no finite limits for branch {branch.value}")
     a = math.asin(wave.params.gamma)
-    if branch is WaveBranch.DECREASING1:
-        return (math.pi - a, a)
-    if branch is WaveBranch.INCREASING2:
-        return (math.pi - a, TWO_PI + a)
-    if branch is WaveBranch.CRITICAL_KINK:
-        return (0.5 * math.pi, 2.5 * math.pi)
-    if branch is WaveBranch.PURE_SG_DECREASING:
-        return (math.pi, 0.0)
-    return (math.pi, TWO_PI)
+    rises = branch in (WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK, WaveBranch.PURE_SG_INCREASING)
+    return (math.pi - a, a + TWO_PI if rises else a)
 
 
 def phi_limits(wave: TravellingWave) -> tuple[float, float]:

@@ -61,12 +61,16 @@ class OdeSolution:
     rk4_steps: int = 0   # RK4 steps over every refinement pass
 
 
+def _check_tol(tol) -> None:
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+
+
 def _check_interval(a, b, tol) -> None:
     """The one input rule of every integration: a < b, |a|, |b| <= _MAX_BOUND and tol > 0."""
     if not (a < b and abs(a) <= _MAX_BOUND and abs(b) <= _MAX_BOUND):
         raise DomainError(f"integration interval needs a < b within +-{_MAX_BOUND}, got ({a}, {b})")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
 
 
 def _halve_until_agree(one_pass, distance, xi_span, tol: float, rate: float):
@@ -343,6 +347,7 @@ def implicit_xi_of_g(params: ModelParams, g_from: float, g_to: float,
     if _singular_points_in(params.gamma, lo, hi):
         raise DomainError("gamma - sin(s) vanishes on the integration path")
     if lo == hi:
+        _check_tol(tol)  # the tol rule of unequal bounds, not skipped by the shortcut
         return 0.0
     value = adaptive_quadrature(_xi_integrand(params), lo, hi, tol)
     return value if g_to >= g_from else -value

@@ -71,6 +71,13 @@ class FieldState:
     twist: float = 0.0
     pinned: TravellingWave | None = None
 
+    def __post_init__(self):
+        shape = np.shape(self.phi)  # shapes only: a NaN phi is the blow-up guard's to catch
+        if not (len(shape) == 1 and np.shape(self.phi_prev) == shape
+                and shape[0] >= (3 if self.pinned is not None else 1)):
+            raise DomainError(f"phi and phi_prev need one 1-d shape of at least 1 point (3 on a pinned "
+                              f"segment), got {shape} and {np.shape(self.phi_prev)}")
+
     @property
     def n(self) -> int:
         return self.phi.size

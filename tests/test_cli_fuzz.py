@@ -5,7 +5,8 @@ setting keeps its value, takes one from a pool chosen by its parser in
 `cli.SETTINGS` or is left out, and is given as a flag or in a config file.
 Whatever the values, `main` must end in an exit code of 0 to 3: no exception
 escapes it, numpy warns about nothing, and a successful run prints no NaN
-or infinity (an eval CSV holds y = +-inf only at a pole).
+or infinity (an eval CSV holds y = +-inf only at a pole, where its formula
+divides by zero).
 """
 
 import math

@@ -45,6 +45,8 @@ BRANCH_CASES = [
     (WaveBranch.PURE_SG_DECREASING, 1.0, 0.0),
     (WaveBranch.PURE_SG_INCREASING, 1.0, 0.0),
 ]
+# the branch cases and two at alpha = 1e-9, where the branch's scale is far below 1
+CHAIN_CASES = BRANCH_CASES + [(WaveBranch.INCREASING2, 1e-9, 0.5), (WaveBranch.KINK_ARRAY, 1e-9, 1.5)]
 
 
 def pole_free_grid(w, lo, hi, n, margin=1.5e-3):
@@ -79,6 +81,25 @@ def pole_of(w, k):
     if w.branch is WaveBranch.KINK_ARRAY:
         return w.xi0 + xi_period(w.params) * (k + 0.5), TWO_PI * (k + 1)
     return w.xi0, TWO_PI
+
+
+def scale_of(w):
+    """The branch's own length: Xi on the kink array, 1/A on increasing2 and decreasing1, else alpha."""
+    if w.branch is WaveBranch.KINK_ARRAY:
+        return xi_period(w.params)
+    if w.branch in (WaveBranch.INCREASING2, WaveBranch.DECREASING1):
+        return 1.0 / subcritical_rate(w.params)
+    return w.params.alpha
+
+
+def pole_points(w):
+    """Every pole of y for k in -3..3, its neighbouring doubles and pole +- 1e-10*scale; none off the pole branches."""
+    if w.branch not in (WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK, WaveBranch.KINK_ARRAY):
+        return np.array([])
+    poles = np.array([pole_of(w, k)[0] for k in range(-3, 4)])
+    offset = 1e-10 * scale_of(w)
+    return np.concatenate([poles, np.nextafter(poles, math.inf), np.nextafter(poles, -math.inf),
+                           poles + offset, poles - offset])
 
 
 # An earlier g_eval served this pole's limit value inside a 9.5e-8 window,
@@ -199,12 +220,15 @@ class TestYEval:
         assert y_eval(w, 0.0) == pytest.approx(-2.0, abs=1e-14)
 
     def test_pole_infinities(self):
+        # the formula at exact poles: k/den divides by zero at d = +0.0, while
+        # tan(pi*0.5) and its neighbour are finite
         wi = wave(WaveBranch.INCREASING2, 0.5, 0.5)
-        assert y_eval(wi, 0.0) == math.inf
+        assert y_eval(wi, 0.0) == -math.inf
+        assert g_eval(wi, 0.0) == TWO_PI
         wk = wave(WaveBranch.KINK_ARRAY, 1.0, SQRT2)
         period = xi_period(wk.params)
-        assert y_eval(wk, period / 2) == math.inf
-        assert y_eval(wk, np.nextafter(period / 2, math.inf)) == -math.inf
+        assert 1e15 < y_eval(wk, period / 2) < math.inf
+        assert -math.inf < y_eval(wk, np.nextafter(period / 2, math.inf)) < -1e15
 
     def test_constant_branch_rejected(self):
         w = wave(WaveBranch.CONSTANT_S, 1.0, 0.5)
@@ -226,16 +250,16 @@ class TestYEval:
         with pytest.raises(DomainError, match="a NaN xi"):
             y_eval(w, np.array([math.nan, near]))  # a NaN xi keeps its own refusal
 
-    # the window was 1e-8*max(1, scale): at alpha = 1e-9 wider than a kink array's whole
-    # period, so y read +-inf at every xi
+    # at alpha = 1e-9 every branch's scale is far below 1 (a fixed 1e-8 pole window once
+    # covered a kink array's whole period, so y read +-inf at every xi)
     @pytest.mark.parametrize("branch,gamma", [(WaveBranch.INCREASING2, 0.5), (WaveBranch.CRITICAL_KINK, 1.0),
                                               (WaveBranch.KINK_ARRAY, 1.5)])
-    def test_pole_window_relative_to_the_branch_scale(self, branch, gamma):
+    def test_finite_next_to_a_pole_at_a_small_scale(self, branch, gamma):
         w = wave(branch, 1e-9, gamma)
-        scale = (xi_period(w.params) if branch is WaveBranch.KINK_ARRAY
-                 else 1e-9 if branch is WaveBranch.CRITICAL_KINK else 1.0 / subcritical_rate(w.params))
+        scale = scale_of(w)
         pole = pole_of(w, 0)[0]
-        assert list(y_eval(w, pole + scale * np.array([-0.5e-8, 0.5e-8]))) == [math.inf, -math.inf]
+        left, right = y_eval(w, pole + scale * np.array([-0.5e-8, 0.5e-8]))
+        assert math.inf > left > 0.0 > right > -math.inf  # y rises through the pole
         assert np.isfinite(y_eval(w, pole + scale * np.array([-0.25, -2e-8, 2e-8, 0.25]))).all()
 
     @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES[:2])
@@ -344,15 +368,14 @@ class TestGEval:
         with pytest.raises(DomainError):
             g_eval(wave(WaveBranch.CONSTANT_U, 1.0, 0.5), 0.0)
 
-    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    @pytest.mark.parametrize("branch,alpha,gamma", CHAIN_CASES)
     def test_paper_chain_identity(self, branch, alpha, gamma):
-        # the paper's route 4*atan(F(y)) gives g mod 2*pi wherever y_eval is finite
-        w = wave(branch, alpha, gamma, xi0=0.3)
-        xs = np.linspace(-12.0, 12.0, 2001)
-        y = y_eval(w, xs)
-        finite = np.isfinite(y)
-        chain = 4.0 * np.arctan(F_map(y[finite]))
-        assert np.max(np.abs(wrap_to(g_eval(w, xs[finite]) - chain))) < 1e-12
+        # the paper's route 4*atan(F(y)) gives g mod 2*pi at every xi, at and next to the
+        # poles too, where y is large or +-inf
+        for w in (wave(branch, alpha, gamma, xi0) for xi0 in (0.0, 0.3)):
+            xs = np.concatenate([w.xi0 + scale_of(w) * np.linspace(-12.0, 12.0, 2001), pole_points(w)])
+            chain = 4.0 * np.arctan(F_map(y_eval(w, xs)))
+            assert np.max(np.abs(wrap_to(g_eval(w, xs) - chain))) < 1e-12
 
 
 class TestGAtPoles:
@@ -419,20 +442,7 @@ def reference_g(w, xi):
 
 
 def reference_y(w, xi):
-    d = np.asarray(xi, dtype=float) - w.xi0
-    y, _ = reference_riccati(w, d)
-    if w.branch is WaveBranch.KINK_ARRAY:
-        period = xi_period(w.params)
-        d = d - period * (np.round(d / period - 0.5) + 0.5)
-        scale = period
-    elif w.branch is WaveBranch.CRITICAL_KINK:
-        scale = w.params.alpha
-    elif w.branch is WaveBranch.INCREASING2:
-        scale = 1.0 / subcritical_rate(w.params)
-    else:
-        return y
-    near = np.abs(d) < 1e-8 * scale
-    return np.where(near, np.where(d <= 0.0, math.inf, -math.inf), y)
+    return reference_riccati(w, np.asarray(xi, dtype=float) - w.xi0)[0]
 
 
 def same_bits(actual, expected):
@@ -443,12 +453,7 @@ def same_bits(actual, expected):
 def eval_points(w):
     """Random points, signed zeros, xi0, huge values and every pole with its neighbours."""
     xs = np.random.default_rng(5).uniform(-30.0, 30.0, 500)
-    special = [0.0, -0.0, w.xi0, 1e300, -1e300]
-    if w.branch in (WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK, WaveBranch.KINK_ARRAY):
-        poles = np.array([pole_of(w, k)[0] for k in range(-3, 4)])
-        special += [*poles, *np.nextafter(poles, math.inf), *np.nextafter(poles, -math.inf),
-                    *(poles + 1e-10), *(poles - 1e-10)]
-    return np.concatenate([xs, special])
+    return np.concatenate([xs, [0.0, -0.0, w.xi0, 1e300, -1e300], pole_points(w)])
 
 
 def y_points(w, xs):
@@ -520,14 +525,26 @@ class TestInPlaceEval:
             assert f(w, xi) is buffers[-1]
 
     @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES[1:4])
-    def test_y_pole_window_fires(self, branch, alpha, gamma):
-        # y_eval reads d again for its window after _riccati has filled y
+    def test_y_next_to_a_pole_has_its_residue(self, branch, alpha, gamma):
+        # y*(xi - pole) -> the residue; the formula's relative error there is about
+        # ulp(xi)/|xi - pole|, the rounding of xi that fixes y so close to a pole
         w = wave(branch, alpha, gamma, 0.3)
+        p = w.params
+        if branch is WaveBranch.CRITICAL_KINK:
+            residue = -2.0 * alpha
+        elif branch is WaveBranch.INCREASING2:
+            fp = y_fixed_points(p)
+            residue = -(fp.y_plus - fp.y_minus) / subcritical_rate(p)
+        else:
+            residue = -math.sqrt((gamma - 1.0) * (gamma + 1.0)) / gamma * xi_period(p) / math.pi
         for k in (-1, 0, 2):
             pole = pole_of(w, k)[0]
-            xs = np.array([pole - 1e-10, pole, pole + 1e-10])
-            assert list(y_eval(w, xs)) == [math.inf, math.inf, -math.inf]
-            assert [y_eval(w, float(x)) for x in xs] == [math.inf, math.inf, -math.inf]
+            xs = np.array([pole - 1e-10, pole + 1e-10])
+            ys = y_eval(w, xs)
+            assert same_bits(ys, [y_eval(w, float(x)) for x in xs])
+            for xi, y in zip(xs, ys):
+                delta = xi - pole
+                assert y * delta == pytest.approx(residue, rel=4.0 * math.ulp(xi) / abs(delta))
 
 
 class TestGLimits:

@@ -157,9 +157,9 @@ def plain_quadrature(f, a, b, tol, max_splits):
     return math.fsum(item[4] for item in heap), totals
 
 
-class TestQuadratureRunningTotal:
-    """The running error total stops the bisection at the split an exact sum does, and
-    hitting MAX_QUAD_EVALS costs no exact sum of every panel's error per split."""
+class TestQuadratureStopAndWorkPerSplit:
+    """The exact error total stops the bisection at the split an fsum of every panel's
+    error does, and a refusal at MAX_QUAD_EVALS does bounded work per split."""
 
     @pytest.mark.parametrize("gamma", [1.0001, 1.01, 1.5])
     @pytest.mark.parametrize("split", [3, 17, 40])
@@ -174,26 +174,30 @@ class TestQuadratureRunningTotal:
             assert adaptive_quadrature(counted, 0.0, TWO_PI, tol) == expected
             assert sum(evals) == 15 * (2 * len(expected_totals) - 1)
 
-    def test_refusal_sums_each_error_term_a_bounded_number_of_times(self, monkeypatch):
+    @pytest.mark.parametrize("splits", [1000, 8000])
+    def test_refusal_does_bounded_work_per_split(self, monkeypatch, splits):
         # gamma -> 1+ with the default tol 1e-10 is below the rounding floor of a
-        # period near 4443; an exact fsum per split made refusing quadratic in panels
-        splits = 1000
+        # period near 4443; an exact sum of every panel's error per split made
+        # refusing quadratic in panels.  Each panel's units count their additions:
+        # a re-sum of the stored units per split would add each of them again
         monkeypatch.setattr(oracles, "MAX_QUAD_EVALS", 15 + 30 * splits)
-        summed = []
+        made, additions = [], []
 
-        class CountingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
+        class CountedUnits(int):
+            def __add__(self, other):
+                additions.append(1)
+                return int(self) + other
 
-            def fsum(self, terms):
-                terms = list(terms)
-                summed.append(len(terms))
-                assert sum(summed) <= 2 * splits, "an exact sum of the panel errors per split"
-                return math.fsum(terms)
+            def __radd__(self, other):
+                additions.append(1)
+                return other + int(self)
 
-        monkeypatch.setattr(oracles, "math", CountingMath())
+        units = oracles._units
+        monkeypatch.setattr(oracles, "_units", lambda err: made.append(err) or CountedUnits(units(err)))
         with pytest.raises(NoConvergence):
             quad_period(ModelParams(1.0, 1.000001))
+        assert len(made) == 1 + 2 * splits
+        assert len(additions) <= 2 * len(made)  # each panel's units at most twice
 
 
 MAX = sys.float_info.max
@@ -268,6 +272,13 @@ class TestImplicitXiOfG:
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_equal_bounds_give_zero(self, gamma):
         assert implicit_xi_of_g(ModelParams(1.0, gamma), 1.0, 1.0) == 0.0
+
+    # equal bounds returned 0.0 for any tol, while unequal bounds refused it
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+    def test_equal_bounds_refuse_a_bad_tol(self, tol):
+        for g_to in (1.0, 2.0):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                implicit_xi_of_g(ModelParams(1.0, 1.5), 1.0, g_to, tol)
 
     def test_singular_endpoint_rejected(self):
         with pytest.raises(DomainError):
@@ -577,7 +588,7 @@ class TestKernelBitIdentity:
     # y0 = -21, so the pass starts on the z chart
     @example(w=TravellingWave(ModelParams(1.0, 1.0), WaveBranch.CRITICAL_KINK, -1.0),
              offset=0.1, span=3.0)
-    # starts exactly on the pole: y0 = +inf, sample 0 has z == 0
+    # starts exactly on the pole: y0 = -inf (d = +0.0), sample 0 has z == 0
     @example(w=TravellingWave(ModelParams(0.5, 0.5), WaveBranch.INCREASING2, 0.0),
              offset=0.0, span=2.0)
     # crosses the pole of increasing2

@@ -216,6 +216,32 @@ class TestSpacingRule:
         assert not (tmp_path / "s.csv").exists()
 
 
+class TestFieldStateShapes:
+    # a mismatched phi_prev was a broadcast ValueError in step and passed comoving_deviation;
+    # an empty circle was an IndexError in step and a ZeroDivisionError in comoving_deviation;
+    # a 2-point segment was an IndexError in total_energy
+    @pytest.mark.parametrize("phi,phi_prev,pinned", [
+        (np.zeros(64), np.zeros(63), None),
+        (np.zeros(64), np.zeros((1, 64)), None),
+        (np.zeros((2, 32)), np.zeros((2, 32)), None),
+        (np.zeros(()), np.zeros(()), None),
+        (np.zeros(0), np.zeros(0), None),
+        (np.zeros(2), np.zeros(2), TravellingWave(ModelParams(1.0, 0.5), WaveBranch.INCREASING2)),
+    ], ids=["prev-shorter", "prev-2d", "2d", "0d", "empty", "segment-of-2"])
+    def test_bad_shapes_refused(self, phi, phi_prev, pinned):
+        with pytest.raises(DomainError, match="1-d shape"):
+            FieldState(dx=0.1, phi=phi, phi_prev=phi_prev, t=0.0, dt=0.09, pinned=pinned)
+
+    def test_only_shapes_are_checked(self):
+        # the smallest circle and segment pass, and so does a NaN field: the blow-up guard catches it
+        FieldState(dx=0.1, phi=np.zeros(1), phi_prev=np.zeros(1), t=0.0, dt=0.09)
+        segment = TravellingWave(ModelParams(1.0, 0.5), WaveBranch.INCREASING2)
+        FieldState(dx=0.1, phi=np.zeros(3), phi_prev=np.zeros(3), t=0.0, dt=0.09, pinned=segment)
+        poisoned = replace(uniform_state(), phi=np.full(64, math.nan))
+        with pytest.raises(BlowUp):
+            step(poisoned, ModelParams(1.0, 1.5), poisoned.dt)
+
+
 class TestStep:
     def test_constant_state_is_fixed_point(self):
         params = ModelParams(1.0, 0.5)

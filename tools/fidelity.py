@@ -8,8 +8,8 @@ tree's, each in its own process, and compares the two sets of sha256
 digests.  It covers:
 
 * `cli/...`: stdout and every file written by `eval` on all eight branches
-  (the README grid, and grids through the poles at scale >= 1), by the
-  three `simulate` runs of CI's rerun step, by `verify` with and without
+  (the README grid, and grids through the poles), by the three `simulate`
+  runs of CI's rerun step, by `verify` with and without
   `--corrupt-gamma-sign`, and by `period` and `limits`;
 * `closed_form/...`: g_eval, y_eval and phi_eval tables, extreme arguments
   included (a refusal is recorded by its exception type);
@@ -126,16 +126,8 @@ def cli_digests(out: dict, work: Path) -> None:
 
 
 def closed_form_digests(out: dict) -> None:
-    from sgwaves.closed_form import (TravellingWave, WaveBranch, g_eval, phi_eval, subcritical_rate, xi_period,
-                                     y_eval)
+    from sgwaves.closed_form import TravellingWave, WaveBranch, g_eval, phi_eval, y_eval
     from sgwaves.model import ModelParams
-
-    def window_scale(wave):  # y_eval's pole window is 1e-8 times this; 1 where it has none
-        if wave.branch is WaveBranch.KINK_ARRAY:
-            return xi_period(wave.params)
-        if wave.branch is WaveBranch.CRITICAL_KINK:
-            return wave.params.alpha
-        return 1.0 / subcritical_rate(wave.params) if wave.branch is WaveBranch.INCREASING2 else 1.0
 
     def finite(parts):
         return np.isfinite(parts[0]).all()
@@ -157,8 +149,7 @@ def closed_form_digests(out: dict) -> None:
                 key = f"closed_form/{branch} {alpha} {gamma} {xi0} #{k}"
                 out[key + " g"] = outcome(lambda: [g_eval(wave, xs)], finite)
                 out[key + " phi"] = outcome(lambda: [phi_eval(wave, xs, 0.25)], finite)
-                if window_scale(wave) >= 1.0:  # the window 1e-8*scale was 1e-8*max(1, scale) before
-                    out[key + " y"] = outcome(lambda: [y_eval(wave, xs)], no_nan)
+                out[key + " y"] = outcome(lambda: [y_eval(wave, xs)], no_nan)
 
 
 def solution(sol):
