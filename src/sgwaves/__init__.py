@@ -5,6 +5,8 @@ oracles (ODE integration, adaptive quadrature, finite-difference residuals)
 and a leapfrog PDE simulator for empirical stability probes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .closed_form import (
     F_map,
     FixedPoints,
@@ -59,51 +61,6 @@ from .pde_sim import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowUp",
-    "Circle",
-    "ConstantSolutions",
-    "DeviationReport",
-    "DomainError",
-    "F_map",
-    "FieldState",
-    "FixedPoints",
-    "ModelParams",
-    "NoConvergence",
-    "OdeSolution",
-    "Perturbation",
-    "SGWaveError",
-    "Segment",
-    "SimConfig",
-    "TravellingWave",
-    "WaveBranch",
-    "adaptive_quadrature",
-    "branch_compatible",
-    "comoving_deviation",
-    "constant_solutions",
-    "energy_density",
-    "evolve",
-    "g_eval",
-    "g_limits",
-    "g_slope",
-    "identities_check",
-    "implicit_xi_of_g",
-    "init_from_wave",
-    "ode_solve_g",
-    "ode_solve_y",
-    "pde_residual",
-    "phi_eval",
-    "phi_limits",
-    "quad_period",
-    "step",
-    "subcritical_rate",
-    "theta",
-    "total_energy",
-    "winding_number",
-    "wrap_to",
-    "write_deviation_csv",
-    "write_snapshot_csv",
-    "xi_period",
-    "y_eval",
-    "y_fixed_points",
-]
+# the imports above are the public API: every name they bind that is not a submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -305,8 +305,11 @@ def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
 
 
 def _xi_integrand(params: ModelParams):
-    """s -> alpha/(gamma - sin s), the integrand of both xi quadratures."""
-    return lambda s: params.alpha / (params.gamma - np.sin(s))
+    """s -> alpha/(gamma - sin s), the integrand of both xi quadratures.
+
+    Written (gamma - 1) + 2 sin^2(pi/4 - s/2), gamma - sin s does not cancel at the peak s = pi/2.
+    """
+    return lambda s: params.alpha / ((params.gamma - 1.0) + 2.0 * np.sin(0.25 * math.pi - 0.5 * s) ** 2)
 
 
 def quad_period(params: ModelParams, tol: float = DEFAULT_QUAD_TOL) -> float:

@@ -292,7 +292,8 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
         report.best_shift.append(shift)
 
     record()
-    n_steps = int(math.ceil(config.t_end / config.dt - 1e-12))
+    # whole steps, rounded up; a positive t_end below 1e-12*dt still takes one
+    n_steps = max(1, int(math.ceil(config.t_end / config.dt - 1e-12)))
     # one kernel call per record interval: records at multiples of record_every and at the end
     for done in range(0, n_steps, config.record_every):
         try:

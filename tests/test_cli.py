@@ -197,6 +197,14 @@ class TestPeriod:
         assert values["closed_form_period"] == pytest.approx(2 * math.pi, abs=1e-12)
         assert values["abs_difference"] < 1e-10
 
+    def test_near_critical_answers(self, capsys):
+        # exited 2: the period integrand cancelled at its peak as gamma -> 1+
+        code = main(["period", "--alpha", "1", "--gamma", "1.000001"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        values = {k.strip(): float(v) for k, v in (line.split("=") for line in lines)}
+        assert values["abs_difference"] < 1e-10
+
     def test_quarter_value(self, capsys):
         code = main(["period", "--alpha", "1", "--gamma", "1.25"])
         assert code == EXIT_OK
@@ -328,6 +336,14 @@ class TestSimulate:
         assert spaced.read_bytes() == joined.read_bytes()
         assert main(["simulate", *common, "--gamma", "-1.5E+00", "--branch", "kink_array",
                      "--domain", "circle", "--out", str(spaced)]) == EXIT_OK
+
+    def test_tiny_t_end_takes_one_step(self, tmp_path, capsys):
+        # printed final_t = 0: t_end below 1e-12*dt rounded to zero steps
+        args = self.args(tmp_path / "dev.csv")
+        args[args.index("--t-end") + 1] = "1e-300"
+        assert main(args) == EXIT_OK
+        final_t = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("final_t"))
+        assert float(final_t.split("=")[1]) > 0.0
 
     @pytest.mark.parametrize("value", ["inf", "Infinity"])
     def test_infinite_t_end_exits_2(self, tmp_path, value):

@@ -120,6 +120,13 @@ class TestQuadrature:
         closed = xi_period(params)
         assert abs(q - closed) / closed < 1e-6
 
+    @pytest.mark.parametrize("gamma", [1.0001, 1.00001, 1.000001])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_near_critical_period_within_tol(self, alpha, gamma):
+        # gamma - sin s cancelled at the peak s = pi/2, which made these refuse
+        params = ModelParams(alpha, gamma)
+        assert abs(quad_period(params, 1e-10) - xi_period(params)) < 1e-10
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             quad_period(ModelParams(1.0, 1.0))
@@ -176,10 +183,10 @@ class TestQuadratureStopAndWorkPerSplit:
 
     @pytest.mark.parametrize("splits", [1000, 8000])
     def test_refusal_does_bounded_work_per_split(self, monkeypatch, splits):
-        # gamma -> 1+ with the default tol 1e-10 is below the rounding floor of a
-        # period near 4443; an exact sum of every panel's error per split made
-        # refusing quadratic in panels.  Each panel's units count their additions:
-        # a re-sum of the stored units per split would add each of them again
+        # 1/(1.000001 - sin s) cancels at its peak, so tol 1e-10 is below its
+        # rounding floor near 4443; an exact sum of every panel's error per split
+        # made refusing quadratic in panels.  Each panel's units count their
+        # additions: a re-sum of the stored units per split would add each again
         monkeypatch.setattr(oracles, "MAX_QUAD_EVALS", 15 + 30 * splits)
         made, additions = [], []
 
@@ -195,7 +202,7 @@ class TestQuadratureStopAndWorkPerSplit:
         units = oracles._units
         monkeypatch.setattr(oracles, "_units", lambda err: made.append(err) or CountedUnits(units(err)))
         with pytest.raises(NoConvergence):
-            quad_period(ModelParams(1.0, 1.000001))
+            adaptive_quadrature(lambda s: 1.0 / (1.000001 - np.sin(s)), 0.0, TWO_PI, 1e-10)
         assert len(made) == 1 + 2 * splits
         assert len(additions) <= 2 * len(made)  # each panel's units at most twice
 

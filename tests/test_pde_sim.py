@@ -727,6 +727,15 @@ class TestEvolve:
         assert report.diverged_at is not None
         assert report.final_state.t < 100.0
 
+    def test_tiny_t_end_takes_one_step(self):
+        # ceil(t_end/dt - 1e-12) is 0 below 1e-12*dt, which returned the start
+        wave = kink_array_wave()
+        state = init_from_wave(wave, 64, Circle(1))
+        config = SimConfig(dt=state.dt, t_end=1e-14 * state.dt)
+        report = evolve(state, wave.params, config, reference=wave)
+        assert report.final_state.t == state.dt
+        assert report.times == [0.0, state.dt]
+
     def test_cfl_guard_enforced(self):
         # the time-step rule 0 < dt <= CFL*dx refuses 0.95*dx before any state exists
         wave = kink_array_wave()
