@@ -9,9 +9,11 @@ segment whose end points are pinned to the exact travelling wave at the
 current time; `domain_grid` is the one place that turns either into a
 grid.  `_check_spacing` is the one time-step rule, 0 < dt <= CFL*dx, and
 every kernel enforces it.  `step`, `evolve`, `total_energy` and the
-snapshot share one in-place leapfrog kernel.  Its speed-ups must keep every
-result bit-identical to the update written out whole; `_Leapfrog` states
-how, and why its blow-up pre-check is exact.
+snapshot share one in-place leapfrog kernel.  It takes the update in its
+folded form, a*(left + right) + b*phi - k*prev - c*sin(phi) - e with the
+damping's gain divided into five coefficients; its speed-ups must keep every
+result bit-identical to that form written out whole.  `_Leapfrog` states how,
+and why its blow-up guard, tested once per block of levels, is exact.
 
 The stability observable is the co-moving deviation: the RMS distance
 between the field and the reference wave minimized over spatial shifts.
@@ -33,6 +35,8 @@ from .model import TWO_PI, ModelParams, energy_density, wrap_to
 
 BLOWUP_THRESHOLD = 1e6  # radians; far beyond any physical excursion
 _BLOWUP_SQUARED = BLOWUP_THRESHOLD * BLOWUP_THRESHOLD  # 1e12, exact in float64
+_BLOCK_STEPS = 16  # most leapfrog levels one blow-up guard test covers
+_BLOCK_POINTS = 1 << 16  # most grid points in one block's levels
 _SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
 MAX_GRID_POINTS = 2**22  # grid size cap: 32 MB per float64 array of the run
 CFL = 0.9  # largest dt/dx; the wave part alone needs dt <= dx
@@ -184,65 +188,102 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
 class _Leapfrog:
     """The leapfrog kernel: levels prev, cur and nxt at t - dt, t and t + dt.
 
-    Each level is a tuple (row, interior, right, left) of one ghost-padded
-    row and its stencil views, sliced once; a step rotates the three roles.
-    Ghost cells 0 and n+1 hold phi[-1] - twist and phi[0] + twist, so one
-    stencil covers every point.  On a segment (twist 0) they feed only the
-    end values, which are then pinned to the exact wave.
+    The levels live in one ring of ghost-padded rows, each held as a tuple
+    (row, interior, right, left) of the row and its stencil views, sliced
+    once.  prev and cur are rows p and p + 1, and nxt the row after them.  A
+    block of steps first moves prev and cur to rows 0 and 1 (when p > 0),
+    then fills rows 2, 3, ... from the two rows before each.  A block is at
+    most _BLOCK_STEPS steps, at most _BLOCK_POINTS // n and at most the
+    kernel's `steps`, so a one-step kernel holds three levels.  Ghost cells 0
+    and n+1 hold phi[-1] - twist and phi[0] + twist, so one stencil covers
+    every point.  On a segment (twist 0) they feed only the end values, which
+    are then pinned to the exact wave.
     `run(steps)` steps t_next = t + dt from the kernel's own `t` and `dt`; on BlowUp,
-    `t`, `prev` and `cur` stay at the last good levels and `nxt` holds the rejected one.
+    `t`, `prev` and `cur` hold the last good levels and `nxt` the rejected one.
 
-    Every result is bit-identical to the update written out whole: the same
-    operations in the same order, on coefficients held as 0-d float64 arrays
-    of the same values, with both pinned ends from one phi_eval call on the
-    pair.  The blow-up guard first tests sum(phi**2) < threshold**2.  Its
-    terms are non-negative and rounding is monotone, so the sum, in any order,
-    is at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
-    and NaN or +-inf never pass.  Only a fail runs the exact max|phi| test.
+    Every result is bit-identical to the folded update written out whole,
+    a*(left + right) + b*phi - k*prev - c*sin(phi) - e: the same operations
+    in the same order, on coefficients held as 0-d float64 arrays of the same
+    values, with both pinned ends from one phi_eval call on the pair.  The
+    blow-up guard runs once per block.  Sums of squares have non-negative
+    terms and rounding is monotone, so a sum, in any order, is at least each
+    of its rounded phi_i**2: a sum below threshold**2 proves each of its
+    |phi_i| <= threshold, and NaN or +-inf never pass.  The block's sum, ghost
+    cells included, is tested first; only if it fails are its rows summed one
+    by one, and only the rows that fail that run the exact max|phi| test, in
+    order.  The first that fails it is the rejected level.  The levels after
+    it are discarded, so a block of more than one level runs under
+    np.errstate(all="ignore").
     """
 
-    def __init__(self, state: FieldState, params: ModelParams):
+    def __init__(self, state: FieldState, params: ModelParams, steps: int = 1):
         _check_spacing(state.dx, state.dt)
-        self.prev, self.cur, self.nxt = ((row, row[1:-1], row[2:], row[:-2])
-                                         for row in np.empty((3, state.n + 2)))
-        self.two_phi, self.tmp = np.empty((2, state.n))
+        block = min(_BLOCK_STEPS, max(1, _BLOCK_POINTS // state.n), steps)
+        self.ring = np.empty((block + 2, state.n + 2))
+        self.levels = [(row, row[1:-1], row[2:], row[:-2]) for row in self.ring]
+        self._settle(0)
+        self.tmp = np.empty(state.n)
         self.t, self.twist, self.dt = state.t, state.twist, state.dt
         self.prev[1][:], self.cur[1][:] = state.phi_prev, state.phi
         self.cur[0][0], self.cur[0][-1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
-        half = 0.5 * params.alpha * state.dt
-        self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma = map(np.array, (
-            2.0, state.dx * state.dx, state.dt * state.dt, 1.0 - half, 1.0 + half, params.gamma))
+        dt2, half = state.dt * state.dt, 0.5 * params.alpha * state.dt
+        r, gain = dt2 / (state.dx * state.dx), 1.0 + half
+        self.a, self.b, self.c, self.k, self.e = map(np.array, (
+            r / gain, (2.0 - 2.0 * r) / gain, dt2 / gain, (1.0 - half) / gain, dt2 * params.gamma / gain))
         self.pinned = None if state.pinned is None else (
             state.pinned, np.array([state.x0, state.x0 + (state.n - 1) * state.dx]))
 
+    def _settle(self, p: int) -> None:
+        """Rows p and p + 1 become prev and cur, and the ring's next row nxt."""
+        levels = self.levels
+        self.p, self.prev, self.cur, self.nxt = p, levels[p], levels[p + 1], levels[(p + 2) % len(levels)]
+
     def run(self, steps: int) -> None:
         """Take `steps` steps from the kernel's time `t` (see the class docstring)."""
-        two, dx2, dt2, keep, gain, gamma = self.two, self.dx2, self.dt2, self.keep, self.gain, self.gamma
-        two_phi, tmp, twist, pinned, dt = self.two_phi, self.tmp, self.twist, self.pinned, self.dt
-        multiply, subtract, add, divide, sin = np.multiply, np.subtract, np.add, np.divide, np.sin
-        prev, cur, nxt, t = self.prev, self.cur, self.nxt, self.t
-        for _ in range(steps):
-            (_, phi, right, left), (row, out, _, _) = cur, nxt
-            t_next = t + dt
-            # (dt*dt*(phi_xx - sin(phi) - gamma) + 2*phi - keep*phi_prev) / gain, in this order
-            multiply(two, phi, two_phi)
-            subtract(right, two_phi, out)
-            add(out, left, out)
-            divide(out, dx2, out)
-            subtract(out, sin(phi, tmp), out)
-            subtract(out, gamma, out)
-            multiply(dt2, out, out)
-            add(out, two_phi, out)
-            subtract(out, multiply(keep, prev[1], tmp), out)
-            divide(out, gain, out)
-            if pinned is not None:
-                out[0], out[-1] = phi_eval(*pinned, t_next)
-            if not out.dot(out) < _BLOWUP_SQUARED and not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
-                self.prev, self.cur, self.nxt, self.t = prev, cur, nxt, t
-                raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t_next:g}", t=t_next)
-            row[0], row[-1] = out[-1] - twist, out[0] + twist
-            prev, cur, nxt, t = cur, nxt, prev, t_next
-        self.prev, self.cur, self.nxt, self.t = prev, cur, nxt, t
+        if len(self.levels) == 3:  # a one-level block computes no level past a blow-up
+            self._blocks(steps)
+            return
+        with np.errstate(all="ignore"):
+            self._blocks(steps)
+
+    def _blocks(self, steps: int) -> None:
+        a, b, c, k, e, tmp = self.a, self.b, self.c, self.k, self.e, self.tmp
+        twist, pinned, dt, ring, levels = self.twist, self.pinned, self.dt, self.ring, self.levels
+        multiply, subtract, add, sin = np.multiply, np.subtract, np.add, np.sin
+        size, p = len(levels) - 2, self.p
+        for done in range(0, steps, size):
+            if p:
+                ring[:2] = ring[p:p + 2]
+            block = min(size, steps - done)
+            t = self.t
+            times = [t]
+            for (_, prev, _, _), (_, phi, right, left), (row, out, _, _) in zip(
+                    levels, levels[1:], levels[2:block + 2]):
+                t += dt
+                # a*(left + right) + b*phi - k*prev - c*sin(phi) - e, in this order
+                add(left, right, out)
+                multiply(a, out, out)
+                add(out, multiply(b, phi, tmp), out)
+                subtract(out, multiply(k, prev, tmp), out)
+                subtract(out, multiply(c, sin(phi, tmp), tmp), out)
+                subtract(out, e, out)
+                if pinned is not None:
+                    out[0], out[-1] = phi_eval(*pinned, t)
+                row[0], row[-1] = out[-1] - twist, out[0] + twist
+                times.append(t)
+            flat = ring[2:block + 2].ravel()
+            if not flat.dot(flat) < _BLOWUP_SQUARED:
+                rows = ring[2:block + 2, 1:-1]
+                sums = np.einsum("ij,ij->i", rows, rows)
+                for j in np.flatnonzero(~(sums < _BLOWUP_SQUARED)):
+                    if not np.abs(rows[j], tmp).max() <= BLOWUP_THRESHOLD:
+                        self._settle(j)
+                        self.t = times[j]
+                        raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at "
+                                     f"t={times[j + 1]:g}", t=times[j + 1])
+            p = block
+            self.t = t
+        self._settle(p)
 
     def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
@@ -281,7 +322,9 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
         state = replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
 
     report = DeviationReport()
-    kernel = _Leapfrog(state, params)
+    # whole steps, rounded up; a positive t_end below 1e-12*dt still takes one
+    n_steps = max(1, int(math.ceil(config.t_end / config.dt - 1e-12)))
+    kernel = _Leapfrog(state, params, n_steps)
 
     def record() -> None:
         if reference is None:
@@ -292,8 +335,6 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
         report.best_shift.append(shift)
 
     record()
-    # whole steps, rounded up; a positive t_end below 1e-12*dt still takes one
-    n_steps = max(1, int(math.ceil(config.t_end / config.dt - 1e-12)))
     # one kernel call per record interval: records at multiples of record_every and at the end
     for done in range(0, n_steps, config.record_every):
         try:

@@ -305,7 +305,18 @@ class TestStep:
 
 
 def reference_step(state, params, dt):
-    """The leapfrog update written out whole, as one expression per level."""
+    """The kernel's folded leapfrog update written out whole, as one expression per level."""
+    phi, prev = state.phi, state.phi_prev
+    ghosts = np.concatenate(([phi[-1] - state.twist], phi, [phi[0] + state.twist]))
+    dt2, half = dt * dt, 0.5 * params.alpha * dt
+    r, gain = dt2 / (state.dx * state.dx), 1.0 + half
+    a, b, c, k, e = r / gain, (2.0 - 2.0 * r) / gain, dt2 / gain, (1.0 - half) / gain, dt2 * params.gamma / gain
+    nxt = a * (ghosts[:-2] + ghosts[2:]) + b * phi - k * prev - c * np.sin(phi) - e
+    return _pin_and_guard(state, nxt, dt)
+
+
+def reference_step_unfolded(state, params, dt):
+    """The leapfrog update before its coefficients were folded, as one expression per level."""
     phi, prev = state.phi, state.phi_prev
     dd = np.zeros_like(phi)
     dd[1:-1] = phi[2:] - 2.0 * phi[1:-1] + phi[:-2]
@@ -315,13 +326,17 @@ def reference_step(state, params, dt):
     accel = dd / (state.dx * state.dx) - np.sin(phi) - params.gamma
     half = 0.5 * params.alpha * dt
     nxt = (dt * dt * accel + 2.0 * phi - (1.0 - half) * prev) / (1.0 + half)
+    return _pin_and_guard(state, nxt, dt)
+
+
+def _pin_and_guard(state, nxt, dt):
     t = state.t + dt
     if state.pinned is not None:
         nxt[0] = phi_eval(state.pinned, state.x0, t)
         nxt[-1] = phi_eval(state.pinned, state.x0 + (state.n - 1) * state.dx, t)
     if not np.max(np.abs(nxt)) <= pde_sim.BLOWUP_THRESHOLD:
         raise BlowUp("reference blow-up", t=t)
-    return replace(state, phi=nxt, phi_prev=phi, t=t)
+    return replace(state, phi=nxt, phi_prev=state.phi, t=t)
 
 
 def rippled(state, eps=1e-3, mode=2):
@@ -342,6 +357,14 @@ def perturbed_segment():
     return wave, rippled(init_from_wave(wave, 256, Segment(-half, half)))
 
 
+def kicked_kink_array(alpha, gamma):
+    """The benchmark's kink_ensemble start: Circle(1), n = 256, kicked by eps 1e-3 in mode 2."""
+    wave = kink_array_wave(alpha, gamma)
+    state = init_from_wave(wave, 256, Circle(1))
+    kick = pde_sim._perturbation_profile(state, Perturbation(1e-3, 2))
+    return wave, replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
+
+
 class TestKernel:
     """evolve and step share one in-place kernel; a loop of steps is the reference."""
 
@@ -355,6 +378,25 @@ class TestKernel:
             assert np.array_equal(state.phi, ref.phi)
             assert np.array_equal(state.phi_prev, ref.phi_prev)
             assert state.t == ref.t
+
+    @pytest.mark.parametrize("make, steps", [
+        (lambda: kicked_kink_array(0.5, 1.5), 1707),  # 6 periods, as in the kink_ensemble workload
+        (lambda: kicked_kink_array(2.0, 1.05), 1707),
+        (perturbed_segment, 200),
+    ])
+    def test_folding_moves_phi_by_rounding_only(self, make, steps):
+        # evolve runs blocks of 16 levels, bit-identical to the folded update; the update before
+        # folding differs from it by rounding only
+        wave, state = make()
+        final = evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt)).final_state
+        folded = unfolded = state
+        for _ in range(steps):
+            folded = reference_step(folded, wave.params, folded.dt)
+            unfolded = reference_step_unfolded(unfolded, wave.params, unfolded.dt)
+        assert final.t == folded.t == unfolded.t
+        assert np.array_equal(final.phi, folded.phi)
+        assert np.array_equal(final.phi_prev, folded.phi_prev)
+        assert np.max(np.abs(final.phi - unfolded.phi)) <= 1e-9
 
     @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
     def test_evolve_matches_step_loop(self, make):
@@ -412,10 +454,32 @@ class TestKernel:
         assert np.array_equal(state.phi_prev, before[1])
         (kernel,) = kernels
         final = report.final_state
-        for buffer in (kernel.prev[0], kernel.cur[0], kernel.nxt[0], kernel.two_phi, kernel.tmp):
+        for buffer in (kernel.ring, kernel.tmp):
             assert not np.shares_memory(final.phi, buffer)
             assert not np.shares_memory(final.phi_prev, buffer)
 
+
+    def test_ring_sizes(self, tmp_path, monkeypatch):
+        # a block is at most 16 levels, 2**16 grid points and the run's own steps; one step holds
+        # three levels, as do grids of 65536 points or more
+        rings = []
+
+        class Spy(pde_sim._Leapfrog):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rings.append(self.ring.shape)
+
+        monkeypatch.setattr(pde_sim, "_Leapfrog", Spy)
+        wave, state = perturbed_circle()
+        step(state, wave.params, state.dt)
+        total_energy(state, wave.params)
+        pde_sim.write_snapshot_csv(state, wave.params, tmp_path / "snap.csv")
+        for steps in (1707, 5):
+            evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt))
+        for n in (4096, 8192, 65536):
+            big = init_from_wave(wave, n, Circle(2))
+            evolve(big, wave.params, SimConfig(dt=big.dt, t_end=20 * big.dt))
+        assert rings == [(3, 202)] * 3 + [(18, 202), (7, 202), (18, 4098), (10, 8194), (3, 65538)]
 
     @pytest.mark.parametrize("gamma, diverging_step", [(2e6, 11), (1e6, 16)])
     def test_probe_divergence_in_a_record_interval_matches_step_loop(self, gamma, diverging_step):
@@ -482,14 +546,15 @@ class TestKernel:
 def stepping_to(values, params, dt=0.09):
     """A zero state whose next leapfrog level is exactly `values`.
 
-    With phi = 0 and gamma = 0 the update is -(keep*prev)/gain point by
+    With phi = 0 and gamma = 0 the folded update is 0 - k*prev point by
     point, so each phi_prev entry is found by stepping it one ulp at a time.
     """
     half = 0.5 * params.alpha * dt
-    prev = -np.asarray(values, dtype=float) * (1.0 + half) / (1.0 - half)
+    k = (1.0 - half) / (1.0 + half)
+    prev = -np.asarray(values, dtype=float) / k
     for i, target in enumerate(values):
         for _ in range(100):
-            got = (0.0 - (1.0 - half) * prev[i]) / (1.0 + half)
+            got = 0.0 - k * prev[i]
             if got == target or not math.isfinite(target):
                 break
             prev[i] = np.nextafter(prev[i], -math.inf if got < target else math.inf)
@@ -546,6 +611,55 @@ class TestBlowUpGuard:
         assert report.final_state.t == last.t
         assert np.array_equal(report.final_state.phi, last.phi)
         assert np.array_equal(report.final_state.phi_prev, last.phi_prev, equal_nan=True)
+
+
+class TestBlockGuard:
+    """evolve tests the guard once per block of levels; a loop of step, a block of one, is the reference."""
+
+    @staticmethod
+    def check(state, params, steps, diverging_step, monkeypatch):
+        kernels = []
+
+        class Spy(pde_sim._Leapfrog):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        monkeypatch.setattr(pde_sim, "_Leapfrog", Spy)
+        config = SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=10**9, probe=True)
+        report = evolve(state, params, config)
+        kernel = kernels[0]
+        last, taken = state, 0
+        with pytest.raises(BlowUp) as info:
+            for _ in range(steps):
+                last = step(last, params, last.dt)
+                taken += 1
+        assert taken + 1 == diverging_step
+        assert report.diverged_at == info.value.t
+        final = report.final_state
+        assert final.t == last.t
+        assert np.array_equal(final.phi, last.phi, equal_nan=True)
+        assert np.array_equal(final.phi_prev, last.phi_prev, equal_nan=True)
+        # the snapshot's phi_t steps into the rejected level, which the block left in nxt
+        phi_t, _ = pde_sim._centered_derivatives(last, params)
+        assert np.array_equal(pde_sim._centered_derivatives(final, params)[0], phi_t, equal_nan=True)
+        assert np.array_equal((kernel.nxt[1] - final.phi_prev) / (2.0 * final.dt), phi_t, equal_nan=True)
+
+    # a uniform field under strong forcing passes 1e6 at a step set by gamma; blocks are 16 levels
+    @pytest.mark.parametrize("gamma, diverging_step", [
+        (1e9, 1), (4.4e6, 8), (1e6, 16),  # the first, a middle and the last level of the first block
+        (9e5, 17), (4.4e5, 24), (2.4e5, 32),  # and of the second
+    ])
+    def test_blowup_in_a_block(self, gamma, diverging_step, monkeypatch):
+        self.check(uniform_state(), ModelParams(1e-3, gamma), 1000, diverging_step, monkeypatch)
+
+    def test_blowup_in_a_run_shorter_than_a_block(self, monkeypatch):
+        self.check(uniform_state(), ModelParams(1e-3, 8e6), 10, 6, monkeypatch)
+
+    def test_nan_poison(self, monkeypatch):
+        state = uniform_state()
+        state = replace(state, phi=np.where(np.arange(state.n) == 5, math.nan, state.phi))
+        self.check(state, ModelParams(1.0, 0.5), 1000, 1, monkeypatch)
 
 
 class TestComovingDeviation:

@@ -25,7 +25,10 @@ A clean output of the base (a converging solve, or a closed-form table
 that is finite and raised no numpy warning) that differs, or that the
 change refuses, fails the check (exit 1).  A base refusal or unclean output
 whose outcome changed is listed, and keys only one side has are counted;
-neither fails it.
+neither fails it.  Under a `cli/...` key that differs, each numeric column
+of its CSV files and each `name = number` line of its stdout is listed with
+the largest absolute difference between base and change, so a change at
+the rounding level reads as a number.
 
 Only the sweep lowers the cap: a solve that converges under SWEEP_CAP gives
 the same solution under the shipped MAX_RK4_STEPS, and the refusal rule
@@ -87,7 +90,39 @@ def outcome(call, finite=lambda parts: True):
     return ("" if finite(parts) and not caught else UNCLEAN) + digest(*parts)
 
 
-def cli_digests(out: dict, work: Path) -> None:
+def numeric_columns(stdout: str, files) -> dict:
+    """{name: values} of every `name = number` stdout line and every numeric CSV column."""
+    columns = {}
+    for line in stdout.splitlines():
+        name, sep, value = line.partition(" = ")
+        with contextlib.suppress(ValueError):
+            if sep:
+                columns[f"stdout {name}"] = [float(value)]
+    for name, data in files:
+        header, *rows = data.decode().splitlines()
+        cells = [row.split(",") for row in rows]
+        for i, column in enumerate(header.split(",")):
+            with contextlib.suppress(ValueError, IndexError):
+                columns[f"{name} {column}"] = [float(row[i]) for row in cells]
+    return columns
+
+
+def column_differences(base: dict, change: dict) -> list[str]:
+    """The largest |base - change| of each column both sides have (NaN against NaN counts as equal)."""
+    lines = []
+    for name in sorted(base.keys() & change.keys()):
+        a, b = np.array(base[name]), np.array(change[name])
+        if a.shape != b.shape:
+            lines.append(f"{name}: {a.size} -> {b.size} values")
+            continue
+        with np.errstate(invalid="ignore"):
+            diff = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+        lines.append(f"{name}: max abs difference {np.max(diff, initial=0.0):.3g}"
+                     f" (max |base| {np.max(np.abs(a), initial=0.0):.3g})")
+    return lines
+
+
+def cli_digests(out: dict, columns: dict, work: Path) -> None:
     from sgwaves import cli
     pi = repr(math.pi)
     evals = {  # branch: (alpha, gamma, grids through its poles)
@@ -123,6 +158,7 @@ def cli_digests(out: dict, work: Path) -> None:
             code = cli.main(argv.split() if isinstance(argv, str) else argv)
         files = [(path.name, path.read_bytes()) for path in sorted(work.iterdir())]
         out[f"cli/{name}"] = digest(code, stdout.getvalue(), files)
+        columns[f"cli/{name}"] = numeric_columns(stdout.getvalue(), files)
 
 
 def closed_form_digests(out: dict) -> None:
@@ -215,8 +251,9 @@ def digest_tree(tree: Path, json_out: Path) -> int:
     """Write tree's digests to json_out; 1, after the suite's report, when a tier-1 test fails."""
     import pytest
     out: dict[str, str] = {}
+    columns: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
-        cli_digests(out, Path(work))
+        cli_digests(out, columns, Path(work))
     closed_form_digests(out)
     sweep_digests(out)
     oracle_sweep_digests(out, tree)
@@ -226,11 +263,11 @@ def digest_tree(tree: Path, json_out: Path) -> int:
     if code != 0:
         print(report.getvalue(), file=sys.stderr)
         return 1
-    json_out.write_text(json.dumps(out, indent=0, sort_keys=True))
+    json_out.write_text(json.dumps({"digests": out, "columns": columns}, indent=0, sort_keys=True))
     return 0
 
 
-def compare(base: dict, change: dict) -> int:
+def compare(base: dict, change: dict, base_columns: dict, change_columns: dict) -> int:
     differ, changed = [], []
     for group in GROUPS:
         keys = sorted(key for key in base.keys() & change.keys() if key.startswith(group + "/"))
@@ -239,7 +276,10 @@ def compare(base: dict, change: dict) -> int:
               f"{len(kept)} clean outputs identical")
         for key in keys:
             if base[key] != change[key]:
-                (differ if key in kept else changed).append(f"{key}: {base[key][:22]} -> {change[key][:22]}")
+                line = f"{key}: {base[key][:22]} -> {change[key][:22]}"
+                line += "".join(f"\n    {column}" for column in column_differences(
+                    base_columns.get(key, {}), change_columns.get(key, {})))
+                (differ if key in kept else changed).append(line)
     print(f"{len(base.keys() ^ change.keys())} keys on one side only (a test or a refusal only one side has)")
     for line in differ:
         print(f"DIFFER: {line}")
@@ -269,7 +309,8 @@ def main() -> int:
             subprocess.run([sys.executable, __file__, "--digest", str(tree), "--json-out", str(json_out)],
                            env=env, cwd=tmp, check=True)
             results.append(json.loads(json_out.read_text()))
-    return compare(*results)
+    base, change = results
+    return compare(base["digests"], change["digests"], base["columns"], change["columns"])
 
 
 if __name__ == "__main__":
