@@ -1,19 +1,21 @@
 """Finite-difference evolution of the damped, driven sine-Gordon equation.
 
-The scheme is a second-order leapfrog on phi_tt - phi_xx + sin(phi)
-+ alpha*phi_t + gamma = 0 with the damping term time-centered and solved
-implicitly (one scalar division per point), so the CFL restriction comes
-from the wave part alone.  Domains are either a circle of length m*Xi with
-twisted periodic boundaries phi(x + L) = phi(x) + chirality*2*pi*m, or a
-segment whose end points are pinned to the exact travelling wave at the
-current time; `domain_grid` is the one place that turns either into a
-grid.  `_check_spacing` is the one time-step rule, 0 < dt <= CFL*dx, and
-every kernel enforces it.  `step`, `evolve`, `total_energy` and the
-snapshot share one in-place leapfrog kernel.  It takes the update in its
-folded form, a*(left + right) + b*phi - k*prev - c*sin(phi) - e with the
-damping's gain divided into five coefficients; its speed-ups must keep every
-result bit-identical to that form written out whole.  `_Leapfrog` states how,
-and why its blow-up guard, tested once per block of levels, is exact.
+The scheme is a second-order leapfrog on phi_tt - phi_xx + sin(phi) +
+alpha*phi_t + gamma = 0 with the damping term time-centered and solved
+implicitly (its gain divided into the update's coefficients), so the CFL
+restriction comes from the wave part alone.  Domains are either a circle of
+length m*Xi with twisted periodic boundaries phi(x + L) = phi(x) +
+chirality*2*pi*m, or a segment whose end points are pinned to the exact
+travelling wave at the current time; `domain_grid` is the one place that
+turns either into a grid.  `_check_spacing` is the one time-step rule,
+0 < dt <= CFL*dx, and every kernel enforces it.  `step`, `evolve`,
+`total_energy` and the snapshot share one in-place leapfrog kernel.  It
+takes the update in a folded form,
+(a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), whose coefficients
+leave a constant field fixed exactly; its speed-ups must keep every result
+bit-identical to that form written out whole.  `_Leapfrog` states how,
+why the fold adds no drift, and why its blow-up guard, tested once per
+block of levels, is exact.
 
 The stability observable is the co-moving deviation: the RMS distance
 between the field and the reference wave minimized over spatial shifts.
@@ -188,55 +190,68 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
 class _Leapfrog:
     """The leapfrog kernel: levels prev, cur and nxt at t - dt, t and t + dt.
 
-    The levels live in one ring of ghost-padded rows, each held as a tuple
+    The levels live in a ring of ghost-padded rows, each held as a tuple
     (row, interior, right, left) of the row and its stencil views, sliced
-    once.  prev and cur are rows p and p + 1, and nxt the row after them.  A
-    block of steps first moves prev and cur to rows 0 and 1 (when p > 0),
-    then fills rows 2, 3, ... from the two rows before each.  A block is at
-    most _BLOCK_STEPS steps, at most _BLOCK_POINTS // n and at most the
-    kernel's `steps`, so a one-step kernel holds three levels.  Ghost cells 0
-    and n+1 hold phi[-1] - twist and phi[0] + twist, so one stencil covers
-    every point.  On a segment (twist 0) they feed only the end values, which
-    are then pinned to the exact wave.
+    once.  prev and cur are rows p and p + 1 and nxt the row after them,
+    counted round the ring, so no level is ever copied: a block of steps
+    fills the rows after cur in turn.  A block is at most _BLOCK_STEPS
+    steps, at most _BLOCK_POINTS // n and at most the kernel's `steps`, so a
+    one-step kernel, or a grid of 65536 points or more, holds three levels
+    whose roles rotate each step.  Ghost cells 0 and n+1 hold phi[-1] - twist
+    and phi[0] + twist, so one stencil covers every point.  On a segment
+    (twist 0) they feed only the end values, which are then pinned to the
+    exact wave.
     `run(steps)` steps t_next = t + dt from the kernel's own `t` and `dt`; on BlowUp,
     `t`, `prev` and `cur` hold the last good levels and `nxt` the rejected one.
 
-    Every result is bit-identical to the folded update written out whole,
-    a*(left + right) + b*phi - k*prev - c*sin(phi) - e: the same operations
-    in the same order, on coefficients held as 0-d float64 arrays of the same
-    values, with both pinned ends from one phi_eval call on the pair.  The
-    blow-up guard runs once per block.  Sums of squares have non-negative
-    terms and rounding is monotone, so a sum, in any order, is at least each
-    of its rounded phi_i**2: a sum below threshold**2 proves each of its
-    |phi_i| <= threshold, and NaN or +-inf never pass.  The block's sum, ghost
-    cells included, is tested first; only if it fails are its rows summed one
-    by one, and only the rows that fail that run the exact max|phi| test, in
-    order.  The first that fails it is the rejected level.  The levels after
-    it are discarded, so a block of more than one level runs under
-    np.errstate(all="ignore").
+    A step takes (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), with
+    r = dt^2/dx^2, half = alpha*dt/2, gain = 1 + half, a = r/gain,
+    k = (1 - half)/gain, b = 1 + k - 2a, c = dt^2/gain and e = dt^2*gamma/gain.
+    a and k are rounded to multiples of 2**-52; as 0 <= 2a < 2 and |k| <= 1,
+    1 - 2a and b then lie on that grid, at most 2 in size, so b is exact and
+    2a + b - k = 1 with no rounding: a constant field is a fixed point of the
+    linear part, and a kink array, whose phi grows by 2*pi per period, gains
+    no drift in proportion to phi.  e joins c*sin(phi) before either meets
+    phi's scale: subtracting one constant from phi at every point and step
+    would round the same way each time.
+
+    Every result is bit-identical to that update written out whole: the same
+    operations in the same order, on coefficients held as 0-d float64 arrays
+    of the same values, with both pinned ends from one phi_eval call on the
+    pair.  The blow-up guard runs once per block and first tests the sum of
+    squares of the block's rows, ghost cells included, < threshold**2 (of
+    the whole ring for a block that wraps round its end).  Its terms are
+    non-negative and rounding is monotone, so the sum, in any order,
+    is at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
+    and NaN or +-inf never pass.  Only a fail runs the exact max|phi| test on
+    the block's levels in order; the first that fails it is the rejected
+    level.  The levels after it are discarded, so a block of more than one
+    level runs under np.errstate(all="ignore").
     """
 
     def __init__(self, state: FieldState, params: ModelParams, steps: int = 1):
         _check_spacing(state.dx, state.dt)
-        block = min(_BLOCK_STEPS, max(1, _BLOCK_POINTS // state.n), steps)
-        self.ring = np.empty((block + 2, state.n + 2))
+        size = min(_BLOCK_STEPS, max(1, _BLOCK_POINTS // state.n), steps)
+        self.ring = np.empty((size + 2, state.n + 2))
         self.levels = [(row, row[1:-1], row[2:], row[:-2]) for row in self.ring]
-        self._settle(0)
+        self.p, self.prev, self.cur, self.nxt = 0, *self.levels[:3]
         self.tmp = np.empty(state.n)
         self.t, self.twist, self.dt = state.t, state.twist, state.dt
         self.prev[1][:], self.cur[1][:] = state.phi_prev, state.phi
         self.cur[0][0], self.cur[0][-1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
         dt2, half = state.dt * state.dt, 0.5 * params.alpha * state.dt
         r, gain = dt2 / (state.dx * state.dx), 1.0 + half
+        a, k = round(r / gain * 2.0**52) / 2.0**52, round((1.0 - half) / gain * 2.0**52) / 2.0**52
         self.a, self.b, self.c, self.k, self.e = map(np.array, (
-            r / gain, (2.0 - 2.0 * r) / gain, dt2 / gain, (1.0 - half) / gain, dt2 * params.gamma / gain))
+            a, (1.0 - 2.0 * a) + k, dt2 / gain, k, dt2 * params.gamma / gain))
         self.pinned = None if state.pinned is None else (
             state.pinned, np.array([state.x0, state.x0 + (state.n - 1) * state.dx]))
 
-    def _settle(self, p: int) -> None:
-        """Rows p and p + 1 become prev and cur, and the ring's next row nxt."""
+    def _rotate(self, p: int) -> None:
+        """Rows p and p + 1 of the ring become prev and cur, and the row after them nxt."""
         levels = self.levels
-        self.p, self.prev, self.cur, self.nxt = p, levels[p], levels[p + 1], levels[(p + 2) % len(levels)]
+        self.p, self.prev, self.cur, self.nxt = (
+            p, levels[p], levels[(p + 1) % len(levels)], levels[(p + 2) % len(levels)])
 
     def run(self, steps: int) -> None:
         """Take `steps` steps from the kernel's time `t` (see the class docstring)."""
@@ -250,40 +265,40 @@ class _Leapfrog:
         a, b, c, k, e, tmp = self.a, self.b, self.c, self.k, self.e, self.tmp
         twist, pinned, dt, ring, levels = self.twist, self.pinned, self.dt, self.ring, self.levels
         multiply, subtract, add, sin = np.multiply, np.subtract, np.add, np.sin
-        size, p = len(levels) - 2, self.p
-        for done in range(0, steps, size):
-            if p:
-                ring[:2] = ring[p:p + 2]
-            block = min(size, steps - done)
+        count, p = len(levels), self.p
+        for done in range(0, steps, count - 2):
+            block = min(count - 2, steps - done)
+            order = levels[p:] + levels[:p] if p else levels  # prev, cur, then the rows this block fills
             t = self.t
-            times = [t]
             for (_, prev, _, _), (_, phi, right, left), (row, out, _, _) in zip(
-                    levels, levels[1:], levels[2:block + 2]):
+                    order, order[1:], order[2:block + 2]):
                 t += dt
-                # a*(left + right) + b*phi - k*prev - c*sin(phi) - e, in this order
+                # (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), in this order
                 add(left, right, out)
                 multiply(a, out, out)
                 add(out, multiply(b, phi, tmp), out)
                 subtract(out, multiply(k, prev, tmp), out)
-                subtract(out, multiply(c, sin(phi, tmp), tmp), out)
-                subtract(out, e, out)
+                add(multiply(c, sin(phi, tmp), tmp), e, tmp)
+                subtract(out, tmp, out)
                 if pinned is not None:
                     out[0], out[-1] = phi_eval(*pinned, t)
                 row[0], row[-1] = out[-1] - twist, out[0] + twist
-                times.append(t)
-            flat = ring[2:block + 2].ravel()
+            first = (p + 2) % count
+            # the block's rows: one row, a run of rows, or the whole ring if they wrap round its end
+            flat = row if block == 1 else (
+                ring[first:first + block] if first + block <= count else ring).ravel()
             if not flat.dot(flat) < _BLOWUP_SQUARED:
-                rows = ring[2:block + 2, 1:-1]
-                sums = np.einsum("ij,ij->i", rows, rows)
-                for j in np.flatnonzero(~(sums < _BLOWUP_SQUARED)):
-                    if not np.abs(rows[j], tmp).max() <= BLOWUP_THRESHOLD:
-                        self._settle(j)
-                        self.t = times[j]
-                        raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at "
-                                     f"t={times[j + 1]:g}", t=times[j + 1])
-            p = block
+                t = self.t
+                for j, (_, out, _, _) in enumerate(order[2:block + 2]):
+                    if not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
+                        self._rotate((p + j) % count)
+                        self.t = t
+                        raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t + dt:g}",
+                                     t=t + dt)
+                    t += dt
+            p = (p + block) % count
             self.t = t
-        self._settle(p)
+        self._rotate(p)
 
     def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
@@ -324,7 +339,7 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
     report = DeviationReport()
     # whole steps, rounded up; a positive t_end below 1e-12*dt still takes one
     n_steps = max(1, int(math.ceil(config.t_end / config.dt - 1e-12)))
-    kernel = _Leapfrog(state, params, n_steps)
+    kernel = _Leapfrog(state, params, min(n_steps, config.record_every))
 
     def record() -> None:
         if reference is None:

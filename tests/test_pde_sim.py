@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,14 +305,20 @@ class TestStep:
         assert report.final_state.t == 0.0
 
 
+def folded_coefficients(params, dx, dt):
+    """(a, b, c, k, e) of the folded update: a and k on the 2**-52 grid and b = (1 - 2a) + k."""
+    dt2, half = dt * dt, 0.5 * params.alpha * dt
+    r, gain = dt2 / (dx * dx), 1.0 + half
+    a, k = (round(v * 2.0**52) / 2.0**52 for v in (r / gain, (1.0 - half) / gain))
+    return a, (1.0 - 2.0 * a) + k, dt2 / gain, k, dt2 * params.gamma / gain
+
+
 def reference_step(state, params, dt):
     """The kernel's folded leapfrog update written out whole, as one expression per level."""
     phi, prev = state.phi, state.phi_prev
     ghosts = np.concatenate(([phi[-1] - state.twist], phi, [phi[0] + state.twist]))
-    dt2, half = dt * dt, 0.5 * params.alpha * dt
-    r, gain = dt2 / (state.dx * state.dx), 1.0 + half
-    a, b, c, k, e = r / gain, (2.0 - 2.0 * r) / gain, dt2 / gain, (1.0 - half) / gain, dt2 * params.gamma / gain
-    nxt = a * (ghosts[:-2] + ghosts[2:]) + b * phi - k * prev - c * np.sin(phi) - e
+    a, b, c, k, e = folded_coefficients(params, state.dx, dt)
+    nxt = (a * (ghosts[:-2] + ghosts[2:]) + b * phi - k * prev) - (c * np.sin(phi) + e)
     return _pin_and_guard(state, nxt, dt)
 
 
@@ -357,11 +364,11 @@ def perturbed_segment():
     return wave, rippled(init_from_wave(wave, 256, Segment(-half, half)))
 
 
-def kicked_kink_array(alpha, gamma):
-    """The benchmark's kink_ensemble start: Circle(1), n = 256, kicked by eps 1e-3 in mode 2."""
+def kicked_kink_array(alpha, gamma, mode=2):
+    """A kink array on Circle(1), n = 256, kicked by eps 1e-3 (mode 2 is the kink_ensemble start)."""
     wave = kink_array_wave(alpha, gamma)
     state = init_from_wave(wave, 256, Circle(1))
-    kick = pde_sim._perturbation_profile(state, Perturbation(1e-3, 2))
+    kick = pde_sim._perturbation_profile(state, Perturbation(1e-3, mode))
     return wave, replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
 
 
@@ -382,11 +389,12 @@ class TestKernel:
     @pytest.mark.parametrize("make, steps", [
         (lambda: kicked_kink_array(0.5, 1.5), 1707),  # 6 periods, as in the kink_ensemble workload
         (lambda: kicked_kink_array(2.0, 1.05), 1707),
+        (lambda: kicked_kink_array(0.5, 1.5, mode=1), 5062),  # README's simulate run, |phi| up to 113
         (perturbed_segment, 200),
     ])
     def test_folding_moves_phi_by_rounding_only(self, make, steps):
-        # evolve runs blocks of 16 levels, bit-identical to the folded update; the update before
-        # folding differs from it by rounding only
+        # evolve is bit-identical to the folded update; the update before folding differs from it
+        # by rounding only, with no drift that grows with phi and the run's length
         wave, state = make()
         final = evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt)).final_state
         folded = unfolded = state
@@ -458,10 +466,9 @@ class TestKernel:
             assert not np.shares_memory(final.phi, buffer)
             assert not np.shares_memory(final.phi_prev, buffer)
 
-
     def test_ring_sizes(self, tmp_path, monkeypatch):
-        # a block is at most 16 levels, 2**16 grid points and the run's own steps; one step holds
-        # three levels, as do grids of 65536 points or more
+        # a block is at most 16 levels, 2**16 grid points, the run's steps and its record interval;
+        # one step holds three levels, as do grids of 65536 points or more
         rings = []
 
         class Spy(pde_sim._Leapfrog):
@@ -474,12 +481,20 @@ class TestKernel:
         step(state, wave.params, state.dt)
         total_energy(state, wave.params)
         pde_sim.write_snapshot_csv(state, wave.params, tmp_path / "snap.csv")
-        for steps in (1707, 5):
-            evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt))
+        for steps, every in ((1707, 50), (5, 50), (1707, 4), (1707, 1)):
+            evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=every))
         for n in (4096, 8192, 65536):
             big = init_from_wave(wave, n, Circle(2))
             evolve(big, wave.params, SimConfig(dt=big.dt, t_end=20 * big.dt))
-        assert rings == [(3, 202)] * 3 + [(18, 202), (7, 202), (18, 4098), (10, 8194), (3, 65538)]
+        assert rings == [(3, 202)] * 3 + [(18, 202), (7, 202), (6, 202), (3, 202),
+                                          (18, 4098), (10, 8194), (3, 65538)]
+
+    @pytest.mark.parametrize("alpha, ratio", [(0.5, 0.9), (2.0, 0.9), (0.5, 1e-3), (1e-6, 0.3), (1e3, 0.5)])
+    def test_fold_keeps_a_constant_field_fixed(self, alpha, ratio):
+        # 2a + b - k = 1 with no rounding, also for a small dt/dx and a negative k
+        kernel = pde_sim._Leapfrog(uniform_state(dx=0.37, dt=0.37 * ratio), ModelParams(alpha, 1.5))
+        a, b, k = (Fraction(float(v)) for v in (kernel.a, kernel.b, kernel.k))
+        assert 2 * a + b - k == 1
 
     @pytest.mark.parametrize("gamma, diverging_step", [(2e6, 11), (1e6, 16)])
     def test_probe_divergence_in_a_record_interval_matches_step_loop(self, gamma, diverging_step):
@@ -549,8 +564,7 @@ def stepping_to(values, params, dt=0.09):
     With phi = 0 and gamma = 0 the folded update is 0 - k*prev point by
     point, so each phi_prev entry is found by stepping it one ulp at a time.
     """
-    half = 0.5 * params.alpha * dt
-    k = (1.0 - half) / (1.0 + half)
+    k = folded_coefficients(params, uniform_state().dx, dt)[3]
     prev = -np.asarray(values, dtype=float) / k
     for i, target in enumerate(values):
         for _ in range(100):
@@ -645,16 +659,26 @@ class TestBlockGuard:
         assert np.array_equal(pde_sim._centered_derivatives(final, params)[0], phi_t, equal_nan=True)
         assert np.array_equal((kernel.nxt[1] - final.phi_prev) / (2.0 * final.dt), phi_t, equal_nan=True)
 
-    # a uniform field under strong forcing passes 1e6 at a step set by gamma; blocks are 16 levels
+    # a uniform field under strong forcing passes 1e6 at a step set by gamma; blocks are 16 levels in
+    # a ring of 18 rows, so the third block fills rows 16, 17 and then 0 to 13
     @pytest.mark.parametrize("gamma, diverging_step", [
         (1e9, 1), (4.4e6, 8), (1e6, 16),  # the first, a middle and the last level of the first block
         (9e5, 17), (4.4e5, 24), (2.4e5, 32),  # and of the second
+        (2.3e5, 33), (2e5, 35), (1.07e5, 48),  # and of the third, on both sides of the ring's end
     ])
     def test_blowup_in_a_block(self, gamma, diverging_step, monkeypatch):
         self.check(uniform_state(), ModelParams(1e-3, gamma), 1000, diverging_step, monkeypatch)
 
     def test_blowup_in_a_run_shorter_than_a_block(self, monkeypatch):
         self.check(uniform_state(), ModelParams(1e-3, 8e6), 10, 6, monkeypatch)
+
+    def test_spike_that_decays_within_a_block(self, monkeypatch):
+        # under strong damping a level just over 1e6 at one point is followed by smaller ones, so the
+        # block's last level alone would pass the guard
+        params = ModelParams(20.0, 0.0)
+        values = np.zeros(64)
+        values[9] = np.nextafter(pde_sim.BLOWUP_THRESHOLD, math.inf)
+        self.check(stepping_to(values, params), params, 16, 1, monkeypatch)
 
     def test_nan_poison(self, monkeypatch):
         state = uniform_state()
