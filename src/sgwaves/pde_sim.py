@@ -233,8 +233,11 @@ class _Leapfrog:
         _check_spacing(state.dx, state.dt)
         size = min(_BLOCK_STEPS, max(1, _BLOCK_POINTS // state.n), steps)
         self.ring = np.empty((size + 2, state.n + 2))
-        self.levels = [(row, row[1:-1], row[2:], row[:-2]) for row in self.ring]
-        self.p, self.prev, self.cur, self.nxt = 0, *self.levels[:3]
+        levels = [(row, row[1:-1], row[2:], row[:-2]) for row in self.ring] * 2
+        # roles[p]: prev, cur and nxt of the step whose prev is row p; twice round the ring, so the
+        # steps of any block are one slice
+        self.roles = list(zip(levels, levels[1:], levels[2:]))
+        self._rotate(0)
         self.tmp = np.empty(state.n)
         self.t, self.twist, self.dt = state.t, state.twist, state.dt
         self.prev[1][:], self.cur[1][:] = state.phi_prev, state.phi
@@ -249,13 +252,11 @@ class _Leapfrog:
 
     def _rotate(self, p: int) -> None:
         """Rows p and p + 1 of the ring become prev and cur, and the row after them nxt."""
-        levels = self.levels
-        self.p, self.prev, self.cur, self.nxt = (
-            p, levels[p], levels[(p + 1) % len(levels)], levels[(p + 2) % len(levels)])
+        self.p, (self.prev, self.cur, self.nxt) = p, self.roles[p]
 
     def run(self, steps: int) -> None:
         """Take `steps` steps from the kernel's time `t` (see the class docstring)."""
-        if len(self.levels) == 3:  # a one-level block computes no level past a blow-up
+        if len(self.ring) == 3:  # a one-level block computes no level past a blow-up
             self._blocks(steps)
             return
         with np.errstate(all="ignore"):
@@ -263,15 +264,13 @@ class _Leapfrog:
 
     def _blocks(self, steps: int) -> None:
         a, b, c, k, e, tmp = self.a, self.b, self.c, self.k, self.e, self.tmp
-        twist, pinned, dt, ring, levels = self.twist, self.pinned, self.dt, self.ring, self.levels
+        twist, pinned, dt, ring, roles = self.twist, self.pinned, self.dt, self.ring, self.roles
         multiply, subtract, add, sin = np.multiply, np.subtract, np.add, np.sin
-        count, p = len(levels), self.p
+        count, p = len(ring), self.p
         for done in range(0, steps, count - 2):
             block = min(count - 2, steps - done)
-            order = levels[p:] + levels[:p] if p else levels  # prev, cur, then the rows this block fills
             t = self.t
-            for (_, prev, _, _), (_, phi, right, left), (row, out, _, _) in zip(
-                    order, order[1:], order[2:block + 2]):
+            for (_, prev, _, _), (_, phi, right, left), (row, out, _, _) in roles[p:p + block]:
                 t += dt
                 # (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), in this order
                 add(left, right, out)
@@ -289,7 +288,7 @@ class _Leapfrog:
                 ring[first:first + block] if first + block <= count else ring).ravel()
             if not flat.dot(flat) < _BLOWUP_SQUARED:
                 t = self.t
-                for j, (_, out, _, _) in enumerate(order[2:block + 2]):
+                for j, (_, _, (_, out, _, _)) in enumerate(roles[p:p + block]):
                     if not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
                         self._rotate((p + j) % count)
                         self.t = t
@@ -298,7 +297,7 @@ class _Leapfrog:
                     t += dt
             p = (p + block) % count
             self.t = t
-        self._rotate(p)
+        self.p, (self.prev, self.cur, self.nxt) = p, roles[p]
 
     def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
