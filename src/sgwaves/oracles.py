@@ -305,22 +305,22 @@ def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
 
 
 def _xi_integrand(params: ModelParams):
-    """s -> alpha/(gamma - sin s), the integrand of both xi quadratures.
+    """u -> alpha/(gamma - sin s) at s = u + pi/2, the integrand of both xi quadratures.
 
-    Written (gamma - 1) + 2 sin^2(pi/4 - s/2), gamma - sin s does not cancel at the peak s = pi/2.
+    Written (gamma - 1) + 2 sin^2(u/2), it cancels neither in the sum nor in the argument at the peak u = 0.
     """
-    return lambda s: params.alpha / ((params.gamma - 1.0) + 2.0 * np.sin(0.25 * math.pi - 0.5 * s) ** 2)
+    return lambda u: params.alpha / ((params.gamma - 1.0) + 2.0 * np.sin(0.5 * u) ** 2)
 
 
 def quad_period(params: ModelParams, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Period integral alpha * int_0^{2pi} ds/(gamma - sin s) by quadrature.
 
-    The integrand is smooth for gamma > 1 but develops a sharp peak at
-    s = pi/2 as gamma -> 1+; adaptive bisection concentrates panels there.
+    The integrand is smooth for gamma > 1 but peaks sharply at s = pi/2, u = 0 of
+    [-pi, pi], as gamma -> 1+; adaptive bisection concentrates panels there.
     """
     if params.gamma <= 1.0:
         raise DomainError(f"period integral requires gamma > 1, got {params.gamma}")
-    return adaptive_quadrature(_xi_integrand(params), 0.0, TWO_PI, tol)
+    return adaptive_quadrature(_xi_integrand(params), -math.pi, math.pi, tol)
 
 
 def _singular_points_in(gamma: float, lo: float, hi: float) -> bool:
@@ -352,7 +352,7 @@ def implicit_xi_of_g(params: ModelParams, g_from: float, g_to: float,
     if lo == hi:
         _check_tol(tol)  # the tol rule of unequal bounds, not skipped by the shortcut
         return 0.0
-    value = adaptive_quadrature(_xi_integrand(params), lo, hi, tol)
+    value = adaptive_quadrature(_xi_integrand(params), lo - 0.5 * math.pi, hi - 0.5 * math.pi, tol)
     return value if g_to >= g_from else -value
 
 

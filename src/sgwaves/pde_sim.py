@@ -225,8 +225,9 @@ class _Leapfrog:
     is at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
     and NaN or +-inf never pass.  Only a fail runs the exact max|phi| test on
     the block's levels in order; the first that fails it is the rejected
-    level.  The levels after it are discarded, so a block of more than one
-    level runs under np.errstate(all="ignore").
+    level.  One rule holds for every ring size: a level past a blow-up, or
+    one computed from a non-finite field, is the guard's to report, so every
+    block runs under np.errstate(all="ignore") and ends in BlowUp, not a warning.
     """
 
     def __init__(self, state: FieldState, params: ModelParams, steps: int = 1):
@@ -256,48 +257,41 @@ class _Leapfrog:
 
     def run(self, steps: int) -> None:
         """Take `steps` steps from the kernel's time `t` (see the class docstring)."""
-        if len(self.ring) == 3:  # a one-level block computes no level past a blow-up
-            self._blocks(steps)
-            return
-        with np.errstate(all="ignore"):
-            self._blocks(steps)
-
-    def _blocks(self, steps: int) -> None:
         a, b, c, k, e, tmp = self.a, self.b, self.c, self.k, self.e, self.tmp
         twist, pinned, dt, ring, roles = self.twist, self.pinned, self.dt, self.ring, self.roles
         multiply, subtract, add, sin = np.multiply, np.subtract, np.add, np.sin
         count, p = len(ring), self.p
-        for done in range(0, steps, count - 2):
-            block = min(count - 2, steps - done)
-            t = self.t
-            for (_, prev, _, _), (_, phi, right, left), (row, out, _, _) in roles[p:p + block]:
-                t += dt
-                # (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), in this order
-                add(left, right, out)
-                multiply(a, out, out)
-                add(out, multiply(b, phi, tmp), out)
-                subtract(out, multiply(k, prev, tmp), out)
-                add(multiply(c, sin(phi, tmp), tmp), e, tmp)
-                subtract(out, tmp, out)
-                if pinned is not None:
-                    out[0], out[-1] = phi_eval(*pinned, t)
-                row[0], row[-1] = out[-1] - twist, out[0] + twist
-            first = (p + 2) % count
-            # the block's rows: one row, a run of rows, or the whole ring if they wrap round its end
-            flat = row if block == 1 else (
-                ring[first:first + block] if first + block <= count else ring).ravel()
-            if not flat.dot(flat) < _BLOWUP_SQUARED:
+        with np.errstate(all="ignore"):
+            for done in range(0, steps, count - 2):
+                block = min(count - 2, steps - done)
                 t = self.t
-                for j, (_, _, (_, out, _, _)) in enumerate(roles[p:p + block]):
-                    if not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
-                        self._rotate((p + j) % count)
-                        self.t = t
-                        raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t + dt:g}",
-                                     t=t + dt)
+                for (_, prev, _, _), (_, phi, right, left), (row, out, _, _) in roles[p:p + block]:
                     t += dt
-            p = (p + block) % count
-            self.t = t
-        self.p, (self.prev, self.cur, self.nxt) = p, roles[p]
+                    # (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), in this order
+                    add(left, right, out)
+                    multiply(a, out, out)
+                    add(out, multiply(b, phi, tmp), out)
+                    subtract(out, multiply(k, prev, tmp), out)
+                    add(multiply(c, sin(phi, tmp), tmp), e, tmp)
+                    subtract(out, tmp, out)
+                    if pinned is not None:
+                        out[0], out[-1] = phi_eval(*pinned, t)
+                    row[0], row[-1] = out[-1] - twist, out[0] + twist
+                first = (p + 2) % count
+                # the block's rows, or the whole ring if they wrap round its end
+                flat = (ring[first:first + block] if first + block <= count else ring).ravel()
+                if not flat.dot(flat) < _BLOWUP_SQUARED:
+                    t = self.t
+                    for j, (_, _, (_, out, _, _)) in enumerate(roles[p:p + block]):
+                        if not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
+                            self._rotate((p + j) % count)
+                            self.t = t
+                            raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t + dt:g}",
+                                         t=t + dt)
+                        t += dt
+                p = (p + block) % count
+                self.t = t
+        self._rotate(p)
 
     def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
@@ -305,7 +299,11 @@ class _Leapfrog:
 
 
 def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
-    """Advance one leapfrog step; raises BlowUp past the divergence threshold or on NaN."""
+    """Advance one leapfrog step; raises BlowUp past the divergence threshold or on NaN or +-inf.
+
+    Each call builds a kernel (at n = 256, 27 us against 7 us a step in `evolve` on a 2-vCPU VM),
+    so a loop of steps belongs in `evolve`.
+    """
     if dt != state.dt:
         raise DomainError("dt must match the state's leapfrog spacing")
     kernel = _Leapfrog(state, params)

@@ -428,12 +428,21 @@ class TestKernel:
         assert np.array_equal(final.phi, state.phi)
         assert np.array_equal(final.phi_prev, state.phi_prev)
 
-    @pytest.mark.parametrize("poison", [None, math.nan])
-    def test_probe_divergence_matches_step_loop(self, poison):
+    @pytest.mark.parametrize("poison", [None, math.nan, math.inf, -math.inf])
+    def test_probe_divergence_matches_step_loop(self, poison, tmp_path):
         params = ModelParams(1e-3, 1e6)
         state = uniform_state(value=0.0)
         if poison is not None:
             state = replace(state, phi=np.where(np.arange(state.n) == 5, poison, state.phi))
+            # a one-level kernel (a step, record_every=1, the snapshot's derivative step) reports the
+            # non-finite field as a blow-up, as a longer ring does, and raises no RuntimeWarning
+            with pytest.raises(BlowUp) as info:
+                step(state, params, state.dt)
+            assert info.value.t == state.dt
+            one = evolve(state, params, SimConfig(dt=state.dt, t_end=1.0, record_every=1, probe=True))
+            assert one.diverged_at == state.dt
+            pde_sim.write_snapshot_csv(state, params, tmp_path / "snap.csv")
+            assert len((tmp_path / "snap.csv").read_text().splitlines()) == 1 + state.n
         config = SimConfig(dt=state.dt, t_end=100.0, record_every=10**9, probe=True)
         report = evolve(state, params, config)
         last = state

@@ -8,7 +8,7 @@ tree's, each in its own process, and compares the two sets of sha256
 digests.  It covers:
 
 * `cli/...`: stdout and every file written by `eval` on all eight branches
-  (the README grid, and grids through the poles), by the three `simulate`
+  (the README grid, and grids through the poles), by the four `simulate`
   runs of CI's rerun step, by `verify` with and without
   `--corrupt-gamma-sign`, and by `period` and `limits`;
 * `closed_form/...`: g_eval, y_eval and phi_eval tables, extreme arguments
@@ -146,6 +146,8 @@ def cli_digests(out: dict, columns: dict, work: Path) -> None:
                                f"--mode 1 --probe true {files}")
     runs["simulate diverged"] = ("simulate --alpha 1 --gamma 1.5 --branch kink_array --domain circle --m 1 "
                                  f"--n 256 --t-end 5 --eps 1e7 --probe true {files}")
+    runs["simulate one-level"] = ("simulate --alpha 1 --gamma 1.5 --branch kink_array --domain circle --m 1 "
+                                  f"--n 256 --t-end 2 --record-every 1 --eps 1e-3 --mode 1 {files}")
     runs["verify"] = "verify"
     runs["verify corrupt"] = "verify --corrupt-gamma-sign"
     runs["period"] = "period --alpha 1 --gamma 1.25"
