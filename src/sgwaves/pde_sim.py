@@ -361,6 +361,7 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
     return report
 
 
+@np.errstate(invalid="ignore")  # a non-finite field (inf - inf) gives a nan or inf distance, not a warning
 def comoving_deviation(state: FieldState, reference: TravellingWave) -> tuple[float, float]:
     """(RMS distance, shift) to the reference wave, minimized over translation.
 
@@ -418,6 +419,7 @@ def _centered_derivatives(state: FieldState, params: ModelParams) -> tuple:
     return (level - state.phi_prev) / (2.0 * state.dt), phi_x
 
 
+@np.errstate(invalid="ignore")  # a non-finite field (cos(inf)) gives nan, not a warning
 def total_energy(state: FieldState, params: ModelParams) -> float:
     """Trapezoidal integral of the energy density over the grid.
 
@@ -431,6 +433,7 @@ def total_energy(state: FieldState, params: ModelParams) -> float:
     return float(state.dx * (0.5 * h[0] + np.sum(h[1:-1]) + 0.5 * h[-1]))
 
 
+@np.errstate(invalid="ignore")  # a non-finite field (inf - inf) gives nan, not a warning
 def winding_number(state: FieldState) -> float:
     """Accumulated phase turns around a twisted periodic domain, in units of 2*pi.
 

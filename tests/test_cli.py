@@ -296,16 +296,6 @@ class TestSimulate:
         ])
         assert code == EXIT_INVALID
 
-    def test_deterministic_reruns_bit_identical(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        snap1, snap2 = tmp_path / "sa.csv", tmp_path / "sb.csv"
-        extra1 = ["--eps", "1e-3", "--mode", "1", "--snapshot-out", str(snap1)]
-        extra2 = ["--eps", "1e-3", "--mode", "1", "--snapshot-out", str(snap2)]
-        assert main(self.args(out1, extra1)) == EXIT_OK
-        assert main(self.args(out2, extra2)) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-        assert snap1.read_bytes() == snap2.read_bytes()
-
     def test_probe_mode_reports(self, tmp_path, capsys):
         out = tmp_path / "dev.csv"
         code = main(self.args(out, ["--eps", "1e-3", "--mode", "1", "--probe", "true"]))

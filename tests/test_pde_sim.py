@@ -803,6 +803,29 @@ class TestTotalEnergy:
         assert defects[0] / defects[1] > 3.0
 
 
+@pytest.mark.parametrize("poison", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("domain, diagnostic", [
+    ("circle", "total_energy"), ("circle", "winding_number"), ("circle", "comoving_deviation"),
+    ("segment", "total_energy"), ("segment", "comoving_deviation"),
+])
+def test_diagnostics_of_a_non_finite_field_are_non_finite_and_quiet(poison, domain, diagnostic):
+    # pytest's filterwarnings turns numpy's "invalid value" RuntimeWarning (cos(inf), inf - inf) into
+    # a failure
+    if domain == "circle":
+        wave = kink_array_wave()
+        state = init_from_wave(wave, 64, Circle(1))
+    else:
+        wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.INCREASING2)
+        state = init_from_wave(wave, 64, Segment(-10.0, 10.0))
+    state = replace(state, phi=np.where(np.arange(state.n) == 5, poison, state.phi))
+    value = {
+        "total_energy": lambda: total_energy(state, wave.params),
+        "winding_number": lambda: winding_number(state),
+        "comoving_deviation": lambda: comoving_deviation(state, wave)[0],
+    }[diagnostic]()
+    assert not math.isfinite(value)
+
+
 class TestEvolve:
     def test_unperturbed_deviation_stays_at_discretization_level(self):
         wave = kink_array_wave()

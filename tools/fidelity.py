@@ -5,12 +5,22 @@
 exports REV with `git archive` into a temporary directory, then runs this
 script's digest mode once against REV's `src/` and once against the working
 tree's, each in its own process, and compares the two sets of sha256
-digests.  It covers:
+digests.
+
+It is also CI's determinism gate.  On a clean checkout, `--base HEAD`
+compares the tree with itself: the same code digested in two processes,
+each with its own hash seed, so any clean output that a rerun does not
+reproduce byte for byte fails the check.  CI runs it under
+PYTHONWARNINGS=error::RuntimeWarning, where a numpy warning in a CLI run
+raises and fails the digest run, as a RuntimeWarning fails pytest.
+
+It covers:
 
 * `cli/...`: stdout and every file written by `eval` on all eight branches
-  (the README grid, and grids through the poles), by the four `simulate`
-  runs of CI's rerun step, by `verify` with and without
-  `--corrupt-gamma-sign`, and by `period` and `limits`;
+  (the README grid, and grids through the poles), by four `simulate` runs
+  (README's, a pinned segment, a diverging probe and a record every step),
+  by `verify` with and without `--corrupt-gamma-sign`, and by `period`
+  and `limits`;
 * `closed_form/...`: g_eval, y_eval and phi_eval tables, extreme arguments
   included (a refusal is recorded by its exception type);
 * `sweep/...`: SWEEP seeded `ode_solve_g`/`ode_solve_y` solves (xs, ys,
