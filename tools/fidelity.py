@@ -20,7 +20,8 @@ It covers:
   (the README grid, and grids through the poles), by four `simulate` runs
   (README's, a pinned segment, a diverging probe and a record every step),
   by `verify` with and without `--corrupt-gamma-sign`, and by `period`
-  and `limits`;
+  and `limits` (a run whose exit code is not EXIT_OK, or EXIT_VERIFY_FAILED
+  for the corrupted `verify`, fails the digest run);
 * `closed_form/...`: g_eval, y_eval and phi_eval tables, extreme arguments
   included (a refusal is recorded by its exception type);
 * `sweep/...`: SWEEP seeded `ode_solve_g`/`ode_solve_y` solves (xs, ys,
@@ -132,7 +133,8 @@ def column_differences(base: dict, change: dict) -> list[str]:
     return lines
 
 
-def cli_digests(out: dict, columns: dict, work: Path) -> None:
+def cli_digests(out: dict, columns: dict, work: Path) -> list[str]:
+    """Digest every CLI run; return a line for each run whose exit code is not the one it should give."""
     from sgwaves import cli
     pi = repr(math.pi)
     evals = {  # branch: (alpha, gamma, grids through its poles)
@@ -162,6 +164,8 @@ def cli_digests(out: dict, columns: dict, work: Path) -> None:
     runs["verify corrupt"] = "verify --corrupt-gamma-sign"
     runs["period"] = "period --alpha 1 --gamma 1.25"
     runs["limits"] = f"limits --alpha 1 --gamma 0.5 --branch decreasing1 --xi0 {pi}"
+    faults = {"verify corrupt": cli.EXIT_VERIFY_FAILED}  # every other run exits EXIT_OK
+    wrong = []
     for name, argv in runs.items():
         for path in work.iterdir():
             path.unlink()
@@ -171,6 +175,9 @@ def cli_digests(out: dict, columns: dict, work: Path) -> None:
         files = [(path.name, path.read_bytes()) for path in sorted(work.iterdir())]
         out[f"cli/{name}"] = digest(code, stdout.getvalue(), files)
         columns[f"cli/{name}"] = numeric_columns(stdout.getvalue(), files)
+        if code != faults.get(name, cli.EXIT_OK):
+            wrong.append(f"cli/{name} exited {code}, not {faults.get(name, cli.EXIT_OK)}")
+    return wrong
 
 
 def closed_form_digests(out: dict) -> None:
@@ -260,12 +267,15 @@ def oracle_sweep_digests(out: dict, tree: Path) -> None:
 
 
 def digest_tree(tree: Path, json_out: Path) -> int:
-    """Write tree's digests to json_out; 1, after the suite's report, when a tier-1 test fails."""
+    """Write tree's digests to json_out; 1 when a CLI run exits with the wrong code or a tier-1 test fails."""
     import pytest
     out: dict[str, str] = {}
     columns: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
-        cli_digests(out, columns, Path(work))
+        wrong = cli_digests(out, columns, Path(work))
+    if wrong:
+        print("\n".join(wrong), file=sys.stderr)
+        return 1
     closed_form_digests(out)
     sweep_digests(out)
     oracle_sweep_digests(out, tree)
