@@ -234,9 +234,9 @@ def _g(wave: TravellingWave, d) -> np.ndarray:
         np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
         if wave.branch is WaveBranch.KINK_ARRAY:
             turns *= TWO_PI  # _riccati's own float array, scaled in place: no n-point temporary
-        else:
-            turns = TWO_PI * turns
-        np.add(g, turns, g)
+            np.add(g, turns, g)
+        elif wave.branch in (WaveBranch.INCREASING2, WaveBranch.CRITICAL_KINK):  # the rest have no poles
+            np.add(g, TWO_PI * turns, g)
     if not np.isfinite(g).all():
         raise DomainError(f"g is not finite at some xi on branch {wave.branch.value} "
                           "(a NaN xi, or xi - xi0 too large)")

@@ -9,10 +9,23 @@ digests.
 
 It is also CI's determinism gate.  On a clean checkout, `--base HEAD`
 compares the tree with itself: the same code digested in two processes,
-each with its own hash seed, so any clean output that a rerun does not
-reproduce byte for byte fails the check.  CI runs it under
-PYTHONWARNINGS=error::RuntimeWarning, where a numpy warning in a CLI run
-raises and fails the digest run, as a RuntimeWarning fails pytest.
+each with its own hash seed, so any output that a rerun does not
+reproduce byte for byte fails the check.
+
+One rule decides the exit code: any key both sides have whose digest
+differs is a DIFFER line, and the run exits 1; otherwise it exits 0.  A
+refusal (an sgwaves error, such as DomainError or NoConvergence) is
+digested as its exception name, so a refusal that turns into an answer, an
+answer that turns into a refusal, or one refusal that turns into another
+all differ.  Keys only
+one side has are counted and do not fail it.  Under a `cli/...` key that
+differs, each numeric column of its CSV files and each `name = number`
+line of its stdout is listed with the largest absolute difference between
+base and change, so a change at the rounding level reads as a number.
+
+A numpy warning follows the interpreter's warning filters.  CI runs the
+tool under PYTHONWARNINGS=error::RuntimeWarning, so a RuntimeWarning in
+any digested call raises and fails the digest run, as it fails a tier-1 test.
 
 It covers:
 
@@ -23,31 +36,20 @@ It covers:
   and `limits` (a run whose exit code is not EXIT_OK, or EXIT_VERIFY_FAILED
   for the corrupted `verify`, fails the digest run);
 * `closed_form/...`: g_eval, y_eval and phi_eval tables, extreme arguments
-  included (a refusal is recorded by its exception type);
+  included;
 * `sweep/...`: SWEEP seeded `ode_solve_g`/`ode_solve_y` solves (xs, ys,
-  step_used, pole_events, rk4_steps, or the exception type), at a cap of
-  SWEEP_CAP RK4 steps per pass;
-* `tier1/...`: every RK4 solve the tier-1 suite makes, by test id (a
-  failing tier-1 test fails the digest run);
+  step_used, pole_events, rk4_steps), at a cap of SWEEP_CAP RK4 steps per
+  pass;
 * `oracle_sweep/...`: the error dicts of 100 seeded tasks of the
   benchmark's oracle_sweep workload.
-
-A clean output of the base (a converging solve, or a closed-form table
-that is finite and raised no numpy warning) that differs, or that the
-change refuses, fails the check (exit 1).  A base refusal or unclean output
-whose outcome changed is listed, and keys only one side has are counted;
-neither fails it.  Under a `cli/...` key that differs, each numeric column
-of its CSV files and each `name = number` line of its stdout is listed with
-the largest absolute difference between base and change, so a change at
-the rounding level reads as a number.
 
 Only the sweep lowers the cap: a solve that converges under SWEEP_CAP gives
 the same solution under the shipped MAX_RK4_STEPS, and the refusal rule
 (|rate|*span/MAX_RK4_STEPS > 1) refuses no more there, so the sweep checks
-a subset of what the shipped cap runs, where the rule bites hardest.  A
-solve that converges only between the two caps is a base refusal in the
-sweep and is covered by the tier-1 and oracle_sweep groups alone, which run
-at the shipped cap.
+a subset of what the shipped cap runs, where the rule bites hardest.  No
+solve here converges between the two caps.  The largest agreeing pass has
+65,536 RK4 steps (SWEEP_CAP) in the sweep, 10,240 in oracle_sweep and
+2,560 in the cli group; closed_form runs no RK4.
 """
 
 from __future__ import annotations
@@ -63,17 +65,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import warnings
-from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-REFUSALS = ("DomainError", "NoConvergence")
-UNCLEAN = "unclean "  # marks an output that warned, or holds a NaN (for g and phi, an infinity)
-GROUPS = ("cli", "closed_form", "sweep", "tier1", "oracle_sweep")
+GROUPS = ("cli", "closed_form", "sweep", "oracle_sweep")
 SWEEP = 1200  # seeded RK4 solves in the sweep
 SWEEP_CAP = 2**16  # RK4 steps per pass in the sweep, which bounds the work of a solve that does not converge
 
@@ -86,19 +84,13 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def outcome(call, finite=lambda parts: True):
-    """digest(*call()), or the name of the sgwaves error it raised.
-
-    The digest is marked UNCLEAN when numpy warned during the call or when
-    finite(parts) is false."""
+def outcome(call) -> str:
+    """digest(*call()), or the name of the sgwaves error it raised."""
     from sgwaves.errors import SGWaveError
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            parts = call()
-        except SGWaveError as exc:
-            return type(exc).__name__
-    return ("" if finite(parts) and not caught else UNCLEAN) + digest(*parts)
+    try:
+        return digest(*call())
+    except SGWaveError as exc:
+        return type(exc).__name__
 
 
 def numeric_columns(stdout: str, files) -> dict:
@@ -184,12 +176,6 @@ def closed_form_digests(out: dict) -> None:
     from sgwaves.closed_form import TravellingWave, WaveBranch, g_eval, phi_eval, y_eval
     from sgwaves.model import ModelParams
 
-    def finite(parts):
-        return np.isfinite(parts[0]).all()
-
-    def no_nan(parts):  # y is +-inf at a pole
-        return not np.isnan(parts[0]).any()
-
     rng = np.random.default_rng(2718)
     points = np.concatenate([rng.uniform(-30.0, 30.0, 2000), [0.0, -0.0, 1e300, -1e300, 5e-324, math.pi]])
     cases = [("decreasing1", 0.5, 0.5), ("increasing2", 1.0, 0.5), ("increasing2", 0.5, 0.9),
@@ -202,9 +188,9 @@ def closed_form_digests(out: dict) -> None:
             wave = TravellingWave(ModelParams(alpha, gamma), WaveBranch(branch), xi0)
             for k, xs in enumerate([points, np.linspace(0.0, 1e-10, 7), *extremes]):
                 key = f"closed_form/{branch} {alpha} {gamma} {xi0} #{k}"
-                out[key + " g"] = outcome(lambda: [g_eval(wave, xs)], finite)
-                out[key + " phi"] = outcome(lambda: [phi_eval(wave, xs, 0.25)], finite)
-                out[key + " y"] = outcome(lambda: [y_eval(wave, xs)], no_nan)
+                out[key + " g"] = outcome(lambda: [g_eval(wave, xs)])
+                out[key + " phi"] = outcome(lambda: [phi_eval(wave, xs, 0.25)])
+                out[key + " y"] = outcome(lambda: [y_eval(wave, xs)])
 
 
 def solution(sol):
@@ -229,35 +215,6 @@ def sweep_digests(out: dict) -> None:
             out[f"sweep/{i:05d}"] = outcome(lambda: solution(solve(params, start, (lo, hi), tol)))
 
 
-class Tier1Recorder:
-    """A pytest plugin that digests what every RK4 loop of the suite returns, by test id."""
-
-    def __init__(self, out: dict):
-        self.out, self.test, self.calls = out, "", defaultdict(int)
-
-    def pytest_sessionstart(self, session):
-        from sgwaves import oracles
-        loop = oracles._halve_until_agree
-
-        def recorded(*args, **kwargs):
-            try:
-                xs, samples, extra, h, steps = result = loop(*args, **kwargs)
-            except (oracles.DomainError, oracles.NoConvergence) as exc:
-                self.record(type(exc).__name__)
-                raise
-            self.record(digest(xs, samples, *(extra or ()), h, steps))
-            return result
-
-        oracles._halve_until_agree = recorded
-
-    def pytest_runtest_setup(self, item):
-        self.test = item.nodeid
-
-    def record(self, value):
-        self.calls[self.test] += 1
-        self.out[f"tier1/{self.test} #{self.calls[self.test]}"] = value
-
-
 def oracle_sweep_digests(out: dict, tree: Path) -> None:
     sys.path.insert(0, str(tree))
     from bench.workloads import OracleSweep
@@ -267,8 +224,7 @@ def oracle_sweep_digests(out: dict, tree: Path) -> None:
 
 
 def digest_tree(tree: Path, json_out: Path) -> int:
-    """Write tree's digests to json_out; 1 when a CLI run exits with the wrong code or a tier-1 test fails."""
-    import pytest
+    """Write tree's digests to json_out; 1 when a CLI run exits with the wrong code."""
     out: dict[str, str] = {}
     columns: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as work:
@@ -279,34 +235,24 @@ def digest_tree(tree: Path, json_out: Path) -> int:
     closed_form_digests(out)
     sweep_digests(out)
     oracle_sweep_digests(out, tree)
-    report = io.StringIO()
-    with contextlib.redirect_stdout(report):
-        code = pytest.main([str(tree / "tests"), "-q", "-p", "no:cacheprovider"], plugins=[Tier1Recorder(out)])
-    if code != 0:
-        print(report.getvalue(), file=sys.stderr)
-        return 1
     json_out.write_text(json.dumps({"digests": out, "columns": columns}, indent=0, sort_keys=True))
     return 0
 
 
 def compare(base: dict, change: dict, base_columns: dict, change_columns: dict) -> int:
-    differ, changed = [], []
+    """Print a summary per group and a DIFFER line for each key whose digest differs; 1 if there is one."""
+    differ = []
     for group in GROUPS:
         keys = sorted(key for key in base.keys() & change.keys() if key.startswith(group + "/"))
-        kept = [key for key in keys if base[key] not in REFUSALS and not base[key].startswith(UNCLEAN)]
-        print(f"{group}: {len(keys)} on both sides, {sum(base[k] == change[k] for k in kept)} of the base's "
-              f"{len(kept)} clean outputs identical")
+        print(f"{group}: {len(keys)} on both sides, {sum(base[k] == change[k] for k in keys)} identical")
         for key in keys:
             if base[key] != change[key]:
                 line = f"{key}: {base[key][:22]} -> {change[key][:22]}"
-                line += "".join(f"\n    {column}" for column in column_differences(
-                    base_columns.get(key, {}), change_columns.get(key, {})))
-                (differ if key in kept else changed).append(line)
-    print(f"{len(base.keys() ^ change.keys())} keys on one side only (a test or a refusal only one side has)")
+                differ.append(line + "".join(f"\n    {column}" for column in column_differences(
+                    base_columns.get(key, {}), change_columns.get(key, {}))))
+    print(f"{len(base.keys() ^ change.keys())} keys on one side only (an output only one side digests)")
     for line in differ:
         print(f"DIFFER: {line}")
-    for line in changed:
-        print(f"base refusal or unclean output changed: {line}")
     return 1 if differ else 0
 
 
