@@ -45,10 +45,10 @@ _fmt = pde_sim.NUMBER_FORMAT.format  # one number as every output writes it
 
 
 def _setup_logging() -> None:
-    level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("SGW_LOG", "info"), logging.INFO
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    """Set the sgwaves logger's level from SGW_LOG on every call; basicConfig adds a handler only once."""
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel({"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("SGW_LOG", "info"), logging.INFO))
 
 
 def load_config(path: str) -> dict[str, str]:

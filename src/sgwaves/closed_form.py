@@ -260,7 +260,8 @@ def g_eval(wave: TravellingWave, xi):
 def g_slope(wave: TravellingWave, xi):
     """Exact derivative g'(xi) = (gamma - sin(g))/alpha via the reduced equation."""
     p = wave.params
-    return (p.gamma - np.sin(g_eval(wave, xi))) / p.alpha
+    slope = (p.gamma - np.sin(g_eval(wave, xi))) / p.alpha
+    return slope if np.ndim(slope) else float(slope)
 
 
 def phi_eval(wave: TravellingWave, x, t):

@@ -417,7 +417,7 @@ def pde_residual(wave: TravellingWave, x: float, t: float, h: float) -> float:
     return residual
 
 
-BRANCH_CASES = [  # one wave per non-constant branch: criteria 02, 03 and 05
+BRANCH_CASES = [  # one wave per non-constant branch: criteria 02, 03 and 05, and the closed-form tests
     (WaveBranch.DECREASING1, 0.5, 0.5),
     (WaveBranch.INCREASING2, 0.5, 0.5),
     (WaveBranch.CRITICAL_KINK, 1.0, 1.0),
@@ -485,6 +485,17 @@ def _periodicity_max_abs() -> float:
     return float(np.max(np.abs(gaps - TWO_PI)))
 
 
+def _ode_max_residual() -> float:
+    h, xs = 1e-4, np.linspace(-12.0, 12.0, 1000)
+    stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    residuals = []
+    for branch, alpha, gamma in BRANCH_CASES:
+        wave = TravellingWave(ModelParams(alpha, gamma), branch)
+        slope = stencil @ np.stack([g_eval(wave, xs + k * h) for k in (-2, -1, 0, 1, 2)])
+        residuals.append(np.abs(alpha * slope - gamma + np.sin(g_eval(wave, xs))))
+    return float(np.max(residuals))
+
+
 # check name -> (threshold, zero-argument function returning the worst value);
 # a check passes when its worst value is below its threshold
 CHECKS = {
@@ -494,4 +505,5 @@ CHECKS = {
     "pde_max_residual": (1e-6, _pde_max_residual),               # criterion 03
     "fmap_identity_max_rel": (1e-12, _fmap_identity_max_rel),
     "periodicity_max_abs": (1e-9, _periodicity_max_abs),         # criterion 07
+    "ode_max_residual": (1e-8, _ode_max_residual),               # criterion 02, poles of y included
 }

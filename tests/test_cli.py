@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -232,6 +233,16 @@ class TestLimits:
 
     def test_kink_array_exits_2(self):
         assert main(["limits", "--alpha", "1", "--gamma", "2", "--branch", "kink_array"]) == EXIT_INVALID
+
+    def test_sgw_log_is_read_on_every_call(self, monkeypatch, caplog):
+        # logging.basicConfig set the level on the first call in a process only, and not at all under pytest
+        handlers = list(logging.getLogger().handlers)
+        for level, logged in (("quiet", False), ("info", True)):
+            caplog.clear()
+            monkeypatch.setenv("SGW_LOG", level)
+            assert main(["limits", "--alpha", "1", "--gamma", "-0.5", "--branch", "decreasing1"]) == EXIT_OK
+            assert ("negative gamma normalized" in caplog.text) is logged
+            assert logging.getLogger().handlers == handlers
 
 
 class TestVerify:

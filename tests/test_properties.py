@@ -52,7 +52,7 @@ def test_closed_forms_solve_the_field_and_reduced_equations(wave, x, t):
     g5 = g_eval(wave, wave.chirality * x - t + h * np.arange(-2.0, 3.0))
     slope = float(np.dot([1.0, -8.0, 0.0, 8.0, -1.0], g5)) / (12.0 * h)
     p = wave.params
-    assert abs(p.alpha * slope - p.gamma + math.sin(g5[2])) < 1e-8
+    assert abs(p.alpha * slope - p.gamma + math.sin(g5[2])) < CHECKS["ode_max_residual"][0]  # criterion 02
 
 
 # the corners of the box; (0.3, 1.05) reads 4.3e-4, the worst of them.  On Circle(2) the

@@ -26,6 +26,9 @@ base and change, so a change at the rounding level reads as a number.
 A numpy warning follows the interpreter's warning filters.  CI runs the
 tool under PYTHONWARNINGS=error::RuntimeWarning, so a RuntimeWarning in
 any digested call raises and fails the digest run, as it fails a tier-1 test.
+Both sides are digested whatever the other's run returns; a failed digest
+run is reported as a FAILED line naming its side and exit code, and the
+tool exits 1 without comparing.
 
 It covers:
 
@@ -270,14 +273,17 @@ def main() -> int:
                                  capture_output=True, check=True)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp / "base")
-        results = []
+        failed = []
         for name, tree in (("base", tmp / "base"), ("change", ROOT)):
-            json_out = tmp / f"{name}.json"
             env = {**os.environ, "PYTHONPATH": str(tree / "src"), "SGW_LOG": "quiet"}
-            subprocess.run([sys.executable, __file__, "--digest", str(tree), "--json-out", str(json_out)],
-                           env=env, cwd=tmp, check=True)
-            results.append(json.loads(json_out.read_text()))
-    base, change = results
+            code = subprocess.run([sys.executable, __file__, "--digest", str(tree), "--json-out",
+                                   str(tmp / f"{name}.json")], env=env, cwd=tmp).returncode
+            if code:
+                failed.append(f"FAILED: the {name} digest run exited {code}")
+        if failed:
+            print("\n".join(failed))
+            return 1
+        base, change = (json.loads((tmp / f"{name}.json").read_text()) for name in ("base", "change"))
     return compare(base["digests"], change["digests"], base["columns"], change["columns"])
 
 
