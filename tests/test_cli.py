@@ -234,12 +234,19 @@ class TestLimits:
     def test_kink_array_exits_2(self):
         assert main(["limits", "--alpha", "1", "--gamma", "2", "--branch", "kink_array"]) == EXIT_INVALID
 
-    def test_sgw_log_is_read_on_every_call(self, monkeypatch, caplog):
-        # logging.basicConfig set the level on the first call in a process only, and not at all under pytest
+    @pytest.mark.parametrize("levels", [("quiet", "info"), ("info", "quiet"), ("quiet", None), ("quiet", "loud")],
+                             ids=["quiet then info", "info then quiet", "quiet then unset", "quiet then unknown"])
+    def test_sgw_log_is_read_on_every_call(self, monkeypatch, caplog, levels):
+        # logging.basicConfig set the level on the first call in a process only, and not at all under pytest;
+        # an unset or unknown SGW_LOG means info
         handlers = list(logging.getLogger().handlers)
-        for level, logged in (("quiet", False), ("info", True)):
+        for level in levels:
             caplog.clear()
-            monkeypatch.setenv("SGW_LOG", level)
+            if level is None:
+                monkeypatch.delenv("SGW_LOG", raising=False)
+            else:
+                monkeypatch.setenv("SGW_LOG", level)
+            logged = level != "quiet"
             assert main(["limits", "--alpha", "1", "--gamma", "-0.5", "--branch", "decreasing1"]) == EXIT_OK
             assert ("negative gamma normalized" in caplog.text) is logged
             assert logging.getLogger().handlers == handlers

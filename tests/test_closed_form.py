@@ -474,6 +474,16 @@ class TestInPlaceEval:
         assert type(phi_eval(w, 0.7, 0.2)) is float
 
     @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
+    def test_slope_of_an_array_is_an_array(self, branch, alpha, gamma):
+        # g_slope turns only a scalar or 0-d result into a float; a one-point array stays an array
+        w = wave(branch, alpha, gamma, 0.3)
+        xs = eval_points(w)
+        for xi in (xs, xs[::3], xs[:60].reshape(6, 10), xs[:1], list(xs[:9])):
+            slope = g_slope(w, xi)
+            assert type(slope) is np.ndarray
+            assert same_bits(slope, (gamma - np.sin(reference_g(w, np.asarray(xi)))) / alpha)
+
+    @pytest.mark.parametrize("branch,alpha,gamma", BRANCH_CASES)
     def test_integer_input(self, branch, alpha, gamma):
         w = wave(branch, alpha, gamma, 0.3)
         ints = np.arange(-4, 5)
