@@ -27,6 +27,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -217,12 +218,13 @@ class _Leapfrog:
 
     Every result is bit-identical to that update written out whole: the same
     operations in the same order, on coefficients held as 0-d float64 arrays
-    of the same values, with both pinned ends from one phi_eval call on the
-    pair.  The blow-up guard runs once per block and first tests the sum of
-    squares of the block's rows, ghost cells included, < threshold**2 (of
-    the whole ring for a block that wraps round its end).  Its terms are
-    non-negative and rounding is monotone, so the sum, in any order,
-    is at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
+    of the same values.  A block's pinned ends come from one phi_eval call on
+    its times, added in sequence as a step-by-step clock adds them; a DomainError
+    there comes before the block writes a level.  The blow-up guard runs once per
+    block and first tests the sum of squares of the block's rows, ghost cells
+    included, < threshold**2 (of the whole ring for a block that wraps round its
+    end).  Its terms are non-negative and rounding is monotone, so the sum, in any
+    order, is at least every rounded phi_i**2: a pass proves every |phi_i| <= threshold,
     and NaN or +-inf never pass.  Only a fail runs the exact max|phi| test on
     the block's levels in order; the first that fails it is the rejected
     level.  One rule holds for every ring size: a level past a blow-up, or
@@ -264,9 +266,9 @@ class _Leapfrog:
         with np.errstate(all="ignore"):
             for done in range(0, steps, count - 2):
                 block = min(count - 2, steps - done)
-                t = self.t
+                ts = list(accumulate(repeat(dt, block), initial=self.t))
+                ends = None if pinned is None else iter(phi_eval(*pinned, np.array(ts[1:])[:, None]).tolist())
                 for (_, prev, _, _), (_, phi, right, left), (row, out, _, _) in roles[p:p + block]:
-                    t += dt
                     # (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), in this order
                     add(left, right, out)
                     multiply(a, out, out)
@@ -274,23 +276,21 @@ class _Leapfrog:
                     subtract(out, multiply(k, prev, tmp), out)
                     add(multiply(c, sin(phi, tmp), tmp), e, tmp)
                     subtract(out, tmp, out)
-                    if pinned is not None:
-                        out[0], out[-1] = phi_eval(*pinned, t)
+                    if ends is not None:
+                        out[0], out[-1] = next(ends)
                     row[0], row[-1] = out[-1] - twist, out[0] + twist
                 first = (p + 2) % count
                 # the block's rows, or the whole ring if they wrap round its end
                 flat = (ring[first:first + block] if first + block <= count else ring).ravel()
                 if not flat.dot(flat) < _BLOWUP_SQUARED:
-                    t = self.t
                     for j, (_, _, (_, out, _, _)) in enumerate(roles[p:p + block]):
                         if not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
                             self._rotate((p + j) % count)
-                            self.t = t
-                            raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={t + dt:g}",
-                                         t=t + dt)
-                        t += dt
+                            self.t = ts[j]
+                            raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={ts[j + 1]:g}",
+                                         t=ts[j + 1])
                 p = (p + block) % count
-                self.t = t
+                self.t = ts[-1]
         self._rotate(p)
 
     def state(self, like: FieldState) -> FieldState:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -406,19 +407,19 @@ class TestKernel:
         assert np.array_equal(final.phi_prev, folded.phi_prev)
         assert np.max(np.abs(final.phi - unfolded.phi)) <= 1e-9
 
-    @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
-    def test_evolve_matches_step_loop(self, make):
+    @staticmethod
+    def check_evolve_against_step_loop(make, steps, every):
         wave, state = make()
-        config = SimConfig(dt=state.dt, t_end=60 * state.dt, record_every=7)
+        config = SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=every)
         before = state.phi.copy(), state.phi_prev.copy()
         report = evolve(state, wave.params, config, reference=wave)
         assert np.array_equal(state.phi, before[0])
         assert np.array_equal(state.phi_prev, before[1])
 
         expected = [comoving_deviation(state, wave) + (state.t,)]
-        for i in range(1, 61):
+        for i in range(1, steps + 1):
             state = step(state, wave.params, state.dt)
-            if i % 7 == 0 or i == 60:
+            if i % every == 0 or i == steps:
                 expected.append(comoving_deviation(state, wave) + (state.t,))
         assert report.deviation == [e[0] for e in expected]
         assert report.best_shift == [e[1] for e in expected]
@@ -427,6 +428,61 @@ class TestKernel:
         assert final.t == state.t
         assert np.array_equal(final.phi, state.phi)
         assert np.array_equal(final.phi_prev, state.phi_prev)
+
+    @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
+    def test_evolve_matches_step_loop(self, make):
+        self.check_evolve_against_step_loop(make, 60, 7)
+
+    @pytest.mark.parametrize("steps, every", [(60, 50), (101, 10**9)])
+    def test_segment_with_full_blocks_matches_step_loop(self, steps, every):
+        # a record interval of 50 steps is blocks of 16, 16, 16 and 2, then one of 10; a run of 101
+        # steps with no record in it is six blocks of 16 and one of 5, all with the ends of one call
+        self.check_evolve_against_step_loop(perturbed_segment, steps, every)
+
+    def test_segment_makes_one_end_call_per_block(self, monkeypatch):
+        # 1501 steps are 93 blocks of 16 and one of 13: 94 calls, where a call per step made 1501
+        wave, state = perturbed_segment()
+        shapes = []
+
+        def counting_phi_eval(wave, x, t):
+            shapes.append(np.shape(t))
+            return phi_eval(wave, x, t)
+
+        monkeypatch.setattr(pde_sim, "phi_eval", counting_phi_eval)
+        config = SimConfig(dt=state.dt, t_end=1501 * state.dt, record_every=1501)
+        assert evolve(state, wave.params, config).final_state.t == pytest.approx(1501 * state.dt)
+        assert shapes == [(16, 1)] * 93 + [(13, 1)]
+
+    def test_end_call_that_fails_writes_no_level_of_its_block(self, monkeypatch):
+        # a DomainError from a block's end call leaves the kernel at the block's start: its t, prev
+        # and cur, and every other row of the ring, as the previous block left them
+        wave, state = perturbed_segment()
+        t_fail = state.t + 39.5 * state.dt  # in the third block, steps 33 to 48
+
+        def failing_phi_eval(wave, x, t):
+            if np.max(t) >= t_fail:
+                raise DomainError("no end values at this time")
+            return phi_eval(wave, x, t)
+
+        monkeypatch.setattr(pde_sim, "phi_eval", failing_phi_eval)
+        kernel = pde_sim._Leapfrog(state, wave.params, 48)
+        kernel.run(32)
+        ring, t, p = kernel.ring.copy(), kernel.t, kernel.p
+        with pytest.raises(DomainError, match="no end values"):
+            kernel.run(16)
+        assert np.array_equal(kernel.ring, ring)
+        assert (kernel.t, kernel.p) == (t, p)
+        last = state
+        for _ in range(32):
+            last = step(last, wave.params, last.dt)
+        assert kernel.t == last.t
+        assert np.array_equal(kernel.cur[1], last.phi)
+        assert np.array_equal(kernel.prev[1], last.phi_prev)
+        # probe catches only BlowUp, so evolve passes the error on with and without it
+        for probe in (False, True):
+            config = SimConfig(dt=state.dt, t_end=100 * state.dt, probe=probe)
+            with pytest.raises(DomainError, match="no end values"):
+                evolve(state, wave.params, config)
 
     @pytest.mark.parametrize("poison", [None, math.nan, math.inf, -math.inf])
     def test_probe_divergence_matches_step_loop(self, poison, tmp_path):
@@ -547,7 +603,8 @@ class TestKernel:
         assert np.array_equal(snap[:, 2], (rejected.phi - final.phi_prev) / (2.0 * final.dt))
 
     def test_pinned_pair_matches_scalar_calls(self):
-        # the kernel pins both segment ends with one phi_eval call on a pair
+        # the kernel pins both segment ends of a block with one phi_eval call on the pair at the
+        # block's 16 times, added up in sequence; row by row it equals a pair call at each time
         rng = np.random.default_rng(11)
         gammas = {
             WaveBranch.DECREASING1: lambda: rng.uniform(0.01, 0.99),
@@ -563,8 +620,13 @@ class TestKernel:
                 wave = TravellingWave(params, branch, rng.uniform(-5, 5), int(rng.choice([-1, 1])))
                 lo = rng.uniform(-60.0, 0.0)
                 hi, t = lo + rng.uniform(1.0, 80.0), rng.uniform(0.0, 50.0)
-                pair = phi_eval(wave, np.array([lo, hi]), t)
-                assert np.array_equal(pair, [phi_eval(wave, lo, t), phi_eval(wave, hi, t)])
+                ends = np.array([lo, hi])
+                assert np.array_equal(phi_eval(wave, ends, t), [phi_eval(wave, lo, t), phi_eval(wave, hi, t)])
+                ts = list(accumulate(repeat(rng.uniform(0.01, 0.5), 16), initial=t))[1:]
+                block = phi_eval(wave, ends, np.array(ts)[:, None])
+                assert block.shape == (16, 2)
+                for row, t_row in zip(block, ts):
+                    assert np.array_equal(row, phi_eval(wave, ends, t_row))
 
 
 def stepping_to(values, params, dt=0.09):
@@ -677,6 +739,12 @@ class TestBlockGuard:
     ])
     def test_blowup_in_a_block(self, gamma, diverging_step, monkeypatch):
         self.check(uniform_state(), ModelParams(1e-3, gamma), 1000, diverging_step, monkeypatch)
+
+    @pytest.mark.parametrize("gamma, diverging_step", [(1e6, 9), (1e5, 27)])
+    def test_blowup_in_a_block_of_a_pinned_segment(self, gamma, diverging_step, monkeypatch):
+        # the interior runs away under the forcing while the ends stay on the pinned wave
+        _, state = perturbed_segment()
+        self.check(state, ModelParams(1e-3, gamma), 1000, diverging_step, monkeypatch)
 
     def test_blowup_in_a_run_shorter_than_a_block(self, monkeypatch):
         self.check(uniform_state(), ModelParams(1e-3, 8e6), 10, 6, monkeypatch)
