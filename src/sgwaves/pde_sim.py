@@ -178,10 +178,8 @@ def init_from_wave(wave: TravellingWave, n: int, domain, dt: float | None = None
     x0, dx, twist, pinned = domain_grid(wave, n, domain)
     dt = CFL * dx if dt is None else dt
     _check_spacing(dx, dt)
-    x = x0 + dx * np.arange(n)
-    phi = np.asarray(phi_eval(wave, x, 0.0), dtype=float)
-    phi_prev = np.asarray(phi_eval(wave, x, -dt), dtype=float)
-    if not np.all(np.abs([phi, phi_prev]) <= BLOWUP_THRESHOLD):  # the kernel's blow-up guard, NaN too
+    phi, phi_prev = levels = phi_eval(wave, x0 + dx * np.arange(n), np.array([[0.0], [-dt]]))
+    if not np.all(np.abs(levels) <= BLOWUP_THRESHOLD):  # the kernel's blow-up guard, NaN too
         raise DomainError(f"initial |phi| exceeds {BLOWUP_THRESHOLD:g}: shift xi0 by whole periods "
                           "towards 0, or use fewer windings m")
     return FieldState(dx=dx, phi=phi, phi_prev=phi_prev, t=0.0, dt=dt,

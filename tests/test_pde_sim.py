@@ -77,10 +77,14 @@ class TestInitFromWave:
         assert abs(state.phi[-1] - hi) < 1e-6
 
     def test_prev_level_is_exact_wave(self):
-        wave = kink_array_wave()
-        state = init_from_wave(wave, 128, Circle(1), dt=0.005)
-        expected = phi_eval(wave, state.x, -0.005)
-        assert np.array_equal(state.phi_prev, np.asarray(expected))
+        # both levels come from one closed-form call on the two times; each is the call at its own time
+        params = ModelParams(0.5, 0.5)
+        for wave, domain in ((kink_array_wave(), Circle(1)),
+                             (TravellingWave(params, WaveBranch.INCREASING2, 0.3, -1), Segment(-20.0, 20.0)),
+                             (TravellingWave(params, WaveBranch.CONSTANT_S), Segment(-20.0, 20.0))):
+            state = init_from_wave(wave, 128, domain, dt=0.005)
+            assert np.array_equal(state.phi, phi_eval(wave, state.x, 0.0))
+            assert np.array_equal(state.phi_prev, phi_eval(wave, state.x, -0.005))
 
     @pytest.mark.parametrize("ends", [(-20.0, math.inf), (-math.inf, 20.0), (-1e308, 1e308),
                                       (math.nan, 20.0), (20.0, 20.0), (0.0, 1e300)])
@@ -373,6 +377,49 @@ def kicked_kink_array(alpha, gamma, mode=2):
     return wave, replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
 
 
+def step_loop(state, params, config, steps, reference=None, stepper=step):
+    """What evolve should report, from `stepper` looped `steps` times: with a reference, a record at the
+    start, after every record_every-th step and after the last; in probe mode the first BlowUp ends the
+    loop in diverged_at, with the last good state as the final one."""
+    levels, diverged_at = [state], None
+    for i in range(1, steps + 1):
+        try:
+            state = stepper(state, params, state.dt)
+        except BlowUp as exc:
+            if not config.probe:
+                raise
+            diverged_at = exc.t
+            break
+        if i % config.record_every == 0 or i == steps:
+            levels.append(state)
+    if reference is None:
+        return pde_sim.DeviationReport(diverged_at=diverged_at, final_state=state)
+    deviation, best_shift = zip(*(comoving_deviation(level, reference) for level in levels))
+    return pde_sim.DeviationReport([level.t for level in levels], list(deviation), list(best_shift),
+                                   diverged_at, state)
+
+
+def assert_same_report(report, expected, equal_nan=False):
+    """Bit for bit: the records, diverged_at and the final time and levels."""
+    assert (report.times, report.deviation, report.best_shift, report.diverged_at, report.final_state.t) == (
+        expected.times, expected.deviation, expected.best_shift, expected.diverged_at, expected.final_state.t)
+    assert np.array_equal(report.final_state.phi, expected.final_state.phi, equal_nan=equal_nan)
+    assert np.array_equal(report.final_state.phi_prev, expected.final_state.phi_prev, equal_nan=equal_nan)
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every pde_sim._Leapfrog built during the test, in order."""
+    built, build = [], pde_sim._Leapfrog
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(pde_sim, "_Leapfrog", recorded)
+    return built
+
+
 class TestKernel:
     """evolve and step share one in-place kernel; a loop of steps is the reference."""
 
@@ -397,15 +444,12 @@ class TestKernel:
         # evolve is bit-identical to the folded update; the update before folding differs from it
         # by rounding only, with no drift that grows with phi and the run's length
         wave, state = make()
-        final = evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt)).final_state
-        folded = unfolded = state
-        for _ in range(steps):
-            folded = reference_step(folded, wave.params, folded.dt)
-            unfolded = reference_step_unfolded(unfolded, wave.params, unfolded.dt)
-        assert final.t == folded.t == unfolded.t
-        assert np.array_equal(final.phi, folded.phi)
-        assert np.array_equal(final.phi_prev, folded.phi_prev)
-        assert np.max(np.abs(final.phi - unfolded.phi)) <= 1e-9
+        config = SimConfig(dt=state.dt, t_end=steps * state.dt)
+        report = evolve(state, wave.params, config)
+        assert_same_report(report, step_loop(state, wave.params, config, steps, stepper=reference_step))
+        unfolded = step_loop(state, wave.params, config, steps, stepper=reference_step_unfolded).final_state
+        assert report.final_state.t == unfolded.t
+        assert np.max(np.abs(report.final_state.phi - unfolded.phi)) <= 1e-9
 
     @staticmethod
     def check_evolve_against_step_loop(make, steps, every):
@@ -415,19 +459,7 @@ class TestKernel:
         report = evolve(state, wave.params, config, reference=wave)
         assert np.array_equal(state.phi, before[0])
         assert np.array_equal(state.phi_prev, before[1])
-
-        expected = [comoving_deviation(state, wave) + (state.t,)]
-        for i in range(1, steps + 1):
-            state = step(state, wave.params, state.dt)
-            if i % every == 0 or i == steps:
-                expected.append(comoving_deviation(state, wave) + (state.t,))
-        assert report.deviation == [e[0] for e in expected]
-        assert report.best_shift == [e[1] for e in expected]
-        assert report.times == [e[2] for e in expected]
-        final = report.final_state
-        assert final.t == state.t
-        assert np.array_equal(final.phi, state.phi)
-        assert np.array_equal(final.phi_prev, state.phi_prev)
+        assert_same_report(report, step_loop(state, wave.params, config, steps, wave))
 
     @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
     def test_evolve_matches_step_loop(self, make):
@@ -472,17 +504,15 @@ class TestKernel:
             kernel.run(16)
         assert np.array_equal(kernel.ring, ring)
         assert (kernel.t, kernel.p) == (t, p)
-        last = state
-        for _ in range(32):
-            last = step(last, wave.params, last.dt)
+        config = SimConfig(dt=state.dt, t_end=100 * state.dt)
+        last = step_loop(state, wave.params, config, 32).final_state
         assert kernel.t == last.t
         assert np.array_equal(kernel.cur[1], last.phi)
         assert np.array_equal(kernel.prev[1], last.phi_prev)
         # probe catches only BlowUp, so evolve passes the error on with and without it
         for probe in (False, True):
-            config = SimConfig(dt=state.dt, t_end=100 * state.dt, probe=probe)
             with pytest.raises(DomainError, match="no end values"):
-                evolve(state, wave.params, config)
+                evolve(state, wave.params, replace(config, probe=probe))
 
     @pytest.mark.parametrize("poison", [None, math.nan, math.inf, -math.inf])
     def test_probe_divergence_matches_step_loop(self, poison, tmp_path):
@@ -499,26 +529,12 @@ class TestKernel:
             assert one.diverged_at == state.dt
             pde_sim.write_snapshot_csv(state, params, tmp_path / "snap.csv")
             assert len((tmp_path / "snap.csv").read_text().splitlines()) == 1 + state.n
-        config = SimConfig(dt=state.dt, t_end=100.0, record_every=10**9, probe=True)
-        report = evolve(state, params, config)
-        last = state
-        with pytest.raises(BlowUp) as info:
-            for _ in range(10**5):
-                state = step(state, params, state.dt)
-                last = state
-        assert report.diverged_at == info.value.t
-        assert report.final_state.t == last.t
-        assert np.array_equal(report.final_state.phi, last.phi, equal_nan=True)
+        config = SimConfig(dt=state.dt, t_end=1000 * state.dt, record_every=10**9, probe=True)
+        expected = step_loop(state, params, config, 1000)
+        assert expected.diverged_at is not None
+        assert_same_report(evolve(state, params, config), expected, equal_nan=True)
 
-    def test_final_state_owns_its_arrays(self, monkeypatch):
-        kernels = []
-
-        class Spy(pde_sim._Leapfrog):
-            def __init__(self, *args):
-                super().__init__(*args)
-                kernels.append(self)
-
-        monkeypatch.setattr(pde_sim, "_Leapfrog", Spy)
+    def test_final_state_owns_its_arrays(self, kernels):
         wave, state = perturbed_circle()
         before = state.phi.copy(), state.phi_prev.copy()
         config = SimConfig(dt=state.dt, t_end=10 * state.dt, perturbation=Perturbation(1e-3, 3))
@@ -531,17 +547,9 @@ class TestKernel:
             assert not np.shares_memory(final.phi, buffer)
             assert not np.shares_memory(final.phi_prev, buffer)
 
-    def test_ring_sizes(self, tmp_path, monkeypatch):
+    def test_ring_sizes(self, tmp_path, kernels):
         # a block is at most 16 levels, 2**16 grid points, the run's steps and its record interval;
         # one step holds three levels, as do grids of 65536 points or more
-        rings = []
-
-        class Spy(pde_sim._Leapfrog):
-            def __init__(self, *args):
-                super().__init__(*args)
-                rings.append(self.ring.shape)
-
-        monkeypatch.setattr(pde_sim, "_Leapfrog", Spy)
         wave, state = perturbed_circle()
         step(state, wave.params, state.dt)
         total_energy(state, wave.params)
@@ -551,8 +559,8 @@ class TestKernel:
         for n in (4096, 8192, 65536):
             big = init_from_wave(wave, n, Circle(2))
             evolve(big, wave.params, SimConfig(dt=big.dt, t_end=20 * big.dt))
-        assert rings == [(3, 202)] * 3 + [(18, 202), (7, 202), (6, 202), (3, 202),
-                                          (18, 4098), (10, 8194), (3, 65538)]
+        assert [kernel.ring.shape for kernel in kernels] == [(3, 202)] * 3 + [
+            (18, 202), (7, 202), (6, 202), (3, 202), (18, 4098), (10, 8194), (3, 65538)]
 
     @pytest.mark.parametrize("alpha, ratio", [(0.5, 0.9), (2.0, 0.9), (0.5, 1e-3), (1e-6, 0.3), (1e3, 0.5)])
     def test_fold_keeps_a_constant_field_fixed(self, alpha, ratio):
@@ -566,24 +574,10 @@ class TestKernel:
         # with record_every 3, step 11 diverges mid-interval and step 16 right after a record
         params, wave = ModelParams(1e-3, gamma), kink_array_wave()
         state = uniform_state(value=0.0)
-        config = SimConfig(dt=state.dt, t_end=100.0, record_every=3, probe=True)
-        report = evolve(state, params, config, reference=wave)
-        expected, steps = [comoving_deviation(state, wave) + (state.t,)], 0
-        with pytest.raises(BlowUp) as info:
-            while True:
-                state = step(state, params, state.dt)
-                steps += 1
-                if steps % 3 == 0:
-                    expected.append(comoving_deviation(state, wave) + (state.t,))
-        assert steps + 1 == diverging_step
-        assert report.deviation == [e[0] for e in expected]
-        assert report.best_shift == [e[1] for e in expected]
-        assert report.times == [e[2] for e in expected]
-        assert report.diverged_at == info.value.t
-        final = report.final_state
-        assert final.t == state.t
-        assert np.array_equal(final.phi, state.phi)
-        assert np.array_equal(final.phi_prev, state.phi_prev)
+        config = SimConfig(dt=state.dt, t_end=1000 * state.dt, record_every=3, probe=True)
+        expected = step_loop(state, params, config, 1000, wave)
+        assert expected.diverged_at == pytest.approx(diverging_step * state.dt)
+        assert_same_report(evolve(state, params, config, reference=wave), expected)
 
     def test_diverged_state_snapshot_takes_the_rejected_level(self, tmp_path, monkeypatch):
         # the snapshot of a probe's last good state used to step into the
@@ -684,47 +678,22 @@ class TestBlowUpGuard:
     def test_probe_evolve_edges(self, name):
         state = stepping_to(guard_cases()[name], self.params)
         config = SimConfig(dt=state.dt, t_end=5 * state.dt, probe=True)
-        report = evolve(state, self.params, config)
-        last, diverged_at = state, None
-        try:
-            for _ in range(5):
-                last = reference_step(last, self.params, last.dt)
-        except BlowUp as exc:
-            diverged_at = exc.t
-        assert diverged_at is not None  # at the first step, or the one after +-1e6
-        assert report.diverged_at == diverged_at
-        assert report.final_state.t == last.t
-        assert np.array_equal(report.final_state.phi, last.phi)
-        assert np.array_equal(report.final_state.phi_prev, last.phi_prev, equal_nan=True)
+        expected = step_loop(state, self.params, config, 5, stepper=reference_step)
+        assert expected.diverged_at is not None  # at the first step, or the one after +-1e6
+        assert_same_report(evolve(state, self.params, config), expected, equal_nan=True)
 
 
 class TestBlockGuard:
     """evolve tests the guard once per block of levels; a loop of step, a block of one, is the reference."""
 
     @staticmethod
-    def check(state, params, steps, diverging_step, monkeypatch):
-        kernels = []
-
-        class Spy(pde_sim._Leapfrog):
-            def __init__(self, *args):
-                super().__init__(*args)
-                kernels.append(self)
-
-        monkeypatch.setattr(pde_sim, "_Leapfrog", Spy)
+    def check(state, params, steps, diverging_step, kernels):
         config = SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=10**9, probe=True)
         report = evolve(state, params, config)
-        kernel = kernels[0]
-        last, taken = state, 0
-        with pytest.raises(BlowUp) as info:
-            for _ in range(steps):
-                last = step(last, params, last.dt)
-                taken += 1
-        assert taken + 1 == diverging_step
-        assert report.diverged_at == info.value.t
-        final = report.final_state
-        assert final.t == last.t
-        assert np.array_equal(final.phi, last.phi, equal_nan=True)
-        assert np.array_equal(final.phi_prev, last.phi_prev, equal_nan=True)
+        expected = step_loop(state, params, config, steps)
+        assert expected.diverged_at == pytest.approx(diverging_step * state.dt)
+        assert_same_report(report, expected, equal_nan=True)
+        kernel, final, last = kernels[0], report.final_state, expected.final_state
         # the snapshot's phi_t steps into the rejected level, which the block left in nxt
         phi_t, _ = pde_sim._centered_derivatives(last, params)
         assert np.array_equal(pde_sim._centered_derivatives(final, params)[0], phi_t, equal_nan=True)
@@ -737,30 +706,30 @@ class TestBlockGuard:
         (9e5, 17), (4.4e5, 24), (2.4e5, 32),  # and of the second
         (2.3e5, 33), (2e5, 35), (1.07e5, 48),  # and of the third, on both sides of the ring's end
     ])
-    def test_blowup_in_a_block(self, gamma, diverging_step, monkeypatch):
-        self.check(uniform_state(), ModelParams(1e-3, gamma), 1000, diverging_step, monkeypatch)
+    def test_blowup_in_a_block(self, gamma, diverging_step, kernels):
+        self.check(uniform_state(), ModelParams(1e-3, gamma), 1000, diverging_step, kernels)
 
     @pytest.mark.parametrize("gamma, diverging_step", [(1e6, 9), (1e5, 27)])
-    def test_blowup_in_a_block_of_a_pinned_segment(self, gamma, diverging_step, monkeypatch):
+    def test_blowup_in_a_block_of_a_pinned_segment(self, gamma, diverging_step, kernels):
         # the interior runs away under the forcing while the ends stay on the pinned wave
         _, state = perturbed_segment()
-        self.check(state, ModelParams(1e-3, gamma), 1000, diverging_step, monkeypatch)
+        self.check(state, ModelParams(1e-3, gamma), 1000, diverging_step, kernels)
 
-    def test_blowup_in_a_run_shorter_than_a_block(self, monkeypatch):
-        self.check(uniform_state(), ModelParams(1e-3, 8e6), 10, 6, monkeypatch)
+    def test_blowup_in_a_run_shorter_than_a_block(self, kernels):
+        self.check(uniform_state(), ModelParams(1e-3, 8e6), 10, 6, kernels)
 
-    def test_spike_that_decays_within_a_block(self, monkeypatch):
+    def test_spike_that_decays_within_a_block(self, kernels):
         # under strong damping a level just over 1e6 at one point is followed by smaller ones, so the
         # block's last level alone would pass the guard
         params = ModelParams(20.0, 0.0)
         values = np.zeros(64)
         values[9] = np.nextafter(pde_sim.BLOWUP_THRESHOLD, math.inf)
-        self.check(stepping_to(values, params), params, 16, 1, monkeypatch)
+        self.check(stepping_to(values, params), params, 16, 1, kernels)
 
-    def test_nan_poison(self, monkeypatch):
+    def test_nan_poison(self, kernels):
         state = uniform_state()
         state = replace(state, phi=np.where(np.arange(state.n) == 5, math.nan, state.phi))
-        self.check(state, ModelParams(1.0, 0.5), 1000, 1, monkeypatch)
+        self.check(state, ModelParams(1.0, 0.5), 1000, 1, kernels)
 
 
 class TestComovingDeviation:
