@@ -147,8 +147,8 @@ def F_map(y):
 
 
 def _riccati(wave: TravellingWave, d):
-    """y at d = xi - xi0 and g's turns term: 2*pi times the number of poles of y left of xi, as a
-    float array, or None on a branch without poles.
+    """y at d = xi - xi0 and turns, the number of poles of y left of xi, unscaled as the branch holds it
+    (float on the kink array, bool on increasing2 and critical_kink), or None on a branch without poles.
 
     Both come from one phase variable, so they agree on which side of a
     pole d lies: round(u) on the kink array, and on increasing2 and
@@ -170,7 +170,6 @@ def _riccati(wave: TravellingWave, d):
         c = math.sqrt((p.gamma - 1.0) * (p.gamma + 1.0)) / p.gamma
         np.multiply(math.pi, np.subtract(u, turns, d), d)
         np.add(-1.0 / p.gamma, np.multiply(c, np.tan(d, d), d), d)
-        turns *= TWO_PI  # its own float array, scaled in place: no n-point temporary
     elif branch in (WaveBranch.PURE_SG_DECREASING, WaveBranch.PURE_SG_INCREASING):
         np.exp(np.divide(d, p.alpha, d), d)
         if branch is WaveBranch.PURE_SG_DECREASING:
@@ -188,7 +187,7 @@ def _riccati(wave: TravellingWave, d):
             c, k = fp.y_minus, fp.y_plus - fp.y_minus
             # expm1 keeps y accurate next to the pole, where 1 - exp(A*d) cancels
             den = np.negative(np.expm1(np.multiply(subcritical_rate(p), d, d), d), d)
-        turns = TWO_PI * np.signbit(den)  # den = -0.0 at d = +0.0, where y = -inf
+        turns = np.signbit(den)  # den = -0.0 at d = +0.0, where y = -inf
         np.add(c, np.divide(k, den, d), d)
     return d, turns
 
@@ -228,13 +227,13 @@ def y_eval(wave: TravellingWave, xi):
 
 
 def _g(wave: TravellingWave, d) -> np.ndarray:
-    """g = pi + 2*atan(y) + _riccati's turns term at d = xi - xi0, which it takes over as _riccati does;
-    a g that is not finite is a DomainError."""
+    """g = pi + 2*atan(y) + 2*pi*turns at d = xi - xi0, with y and turns from _riccati, which takes
+    d over as _riccati does; a g that is not finite is a DomainError."""
     with np.errstate(all="ignore"):
         g, turns = _riccati(wave, d)
         np.add(math.pi, np.multiply(2.0, np.arctan(g, g), g), g)
         if turns is not None:
-            np.add(g, turns, g)
+            np.add(g, TWO_PI * turns, g)
     if not np.isfinite(g).all():
         raise DomainError(f"g is not finite at some xi on branch {wave.branch.value} "
                           "(a NaN xi, or xi - xi0 too large)")

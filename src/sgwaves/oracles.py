@@ -146,6 +146,12 @@ def ode_solve_g(params: ModelParams, g0: float, xi_span, tol: float = DEFAULT_OD
     return OdeSolution(xs, ys, h, rk4_steps=steps)
 
 
+def _start_chart(y0: float) -> tuple[float, float]:
+    """A Riccati pass's start (v, s): (y0, 2) while |y0| <= _CHART_SWAP, else (z, -2) with z = -1/y0.  The linear
+    term is +2*y on the y chart and -2*z on the z chart, so s*v + gamma*(1 + v*v) is either chart's rhs bit for bit."""
+    return (v, 2.0) if abs(v := float(y0)) <= _CHART_SWAP else (-1.0 / v, -2.0)
+
+
 def _integrate_riccati(params: ModelParams, y0: float, lo: float, h: float, n: int):
     """One projective RK4 pass of n steps of size h from lo through the Riccati equation.
 
@@ -158,12 +164,7 @@ def _integrate_riccati(params: ModelParams, y0: float, lo: float, h: float, n: i
     alpha, gamma = params.alpha, params.gamma
     hh, h6, a2 = 0.5 * h, h / 6.0, 2.0 * alpha
     atan, inf = math.atan, math.inf
-    y0 = float(y0)
-    in_y = abs(y0) <= _CHART_SWAP
-    v = y0 if in_y else -1.0 / y0
-    # the linear term is +2*y on the y chart and -2*z on the z chart; since
-    # a - b is a + (-b), s*v + gamma*(1 + v*v) is the z-chart rhs bit for bit
-    s = 2.0 if in_y else -2.0
+    v, s = _start_chart(y0)
     ys, angles = array("d"), array("d")
     poles: list[float] = []
     for i in range(n + 1):
@@ -209,7 +210,7 @@ def ode_solve_y(params: ModelParams, y0: float, xi_span, tol: float = DEFAULT_OD
     """
     if math.isnan(y0):
         raise DomainError("y0 must not be NaN")
-    v, s = (float(y0), 2.0) if abs(y0) <= _CHART_SWAP else (-1.0 / float(y0), -2.0)  # the pass's start
+    v, s = _start_chart(y0)
     xs, _, (ys, poles), h, steps = _halve_until_agree(
         partial(_integrate_riccati, params, y0), _projective_distance, xi_span, tol,
         (s * v + params.gamma * (1.0 + v * v)) / (2.0 * params.alpha))
