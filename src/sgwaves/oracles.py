@@ -5,17 +5,20 @@ and the Riccati equation are integrated directly with a classic 4th-order
 fixed-step scheme, step-halved by the one loop `_halve_until_agree` until
 two refinements agree, the period integral is done by adaptive Gauss-Kronrod
 bisection, and the field equation residual is measured with 5-point
-finite-difference stencils on phi_eval.  `_check_interval` (a < b, both
-within half the largest double, tol > 0) is the one interval rule of both
-ODE spans and every quadrature.  A NaN start, g0 = +-inf, a start rate
-that moves the state more than one unit in a step of the finest RK4 pass,
-non-finite g bounds, a non-finite stencil step or a first RK4 pass over
-MAX_RK4_STEPS steps is a DomainError before any work (y0 = +-inf is a start
-on a pole), and so is a non-finite quadrature panel or residual.
-MAX_RK4_STEPS and MAX_QUAD_EVALS, read at call time, are the only work
-bounds.  The test suite asserts agreement with the closed forms.
-`CHECKS` is the one table of those checks: each case list and threshold that
-`sgwaves verify` and the acceptance criteria read.
+finite-difference stencils on phi_eval.  The test suite asserts agreement
+with the closed forms; `CHECKS` is the one table of those checks, each case
+list and threshold that `sgwaves verify` and the acceptance criteria read.
+Each refusal is a row of tests/test_refusals.py.  DomainError before any
+work: a span or interval unless a < b within half the largest double, or a
+tol that is not positive (`_check_interval`); a NaN start or g0 = +-inf; a
+start rate that moves the state over one unit in a step of the finest RK4
+pass; a first RK4 pass over MAX_RK4_STEPS steps; g bounds that are not
+finite, or whose closed path meets a zero of gamma - sin(s); quad_period at
+gamma <= 1; identities_check off 0 <= gamma <= 1; a stencil step outside
+(0, inf).  After it: a quadrature panel, panel sum or residual that is not
+finite.  NoConvergence: an RK4 doubling past MAX_RK4_STEPS or stalled at its
+rounding floor, or a quadrature past MAX_QUAD_EVALS evaluations; read at call
+time, these two are the only work bounds.
 
 The RK4 loops are written out stage by stage, with no call per stage.  Each
 stage does the same floating-point operations in the same order as a step
@@ -78,14 +81,12 @@ def _halve_until_agree(one_pass, distance, xi_span, tol: float, rate: float):
 
     They agree when distance(cur[::2], prev) < tol at every grid point the two
     share.  Returns (xs, samples, extra, h, rk4_steps) of the agreeing pass.
-    MAX_RK4_STEPS, read at call time, bounds every pass: a longer first pass
-    is a DomainError before any step, a longer doubling is NoConvergence, and
-    so is a doubling whose distance stops shrinking (truncation's shrinks ~16x)
-    within n ulps of a finite max|samples|, where rounding sets it.  rate is
-    the flow at the start, by the same expression as the first RK4 stage: if
-    even the first step of the finest pass moves the state by more than one
-    unit, no pass resolves the flow, and that is a DomainError before any
-    step too (a rate that is not finite included)."""
+    MAX_RK4_STEPS bounds every pass, the first and each doubling.  A doubling
+    whose distance stops shrinking (truncation's shrinks ~16x) within n ulps
+    of a finite max|samples| has stalled where rounding sets it.  rate is the
+    flow at the start, by the same expression as the first RK4 stage: if even
+    the first step of the finest pass moves the state by more than one unit,
+    no pass resolves the flow (a rate that is not finite included)."""
     lo, hi = float(xi_span[0]), float(xi_span[1])
     _check_interval(lo, hi, tol)
     first = (hi - lo) * 4.0
@@ -275,8 +276,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
 
     Each panel carries a 15-point Kronrod value plus a 7-point embedded
     error estimate; the panel with the largest estimate is split until the
-    total estimate drops below tol.  MAX_QUAD_EVALS, read at call time,
-    bounds the evaluations.  f must accept numpy arrays.
+    total estimate drops below tol.  f must accept numpy arrays.
 
     The total is kept exactly, in _units.  int / int rounds correctly, so
     the total read as a float is the fsum of the panel errors.

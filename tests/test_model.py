@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sgwaves import (
-    DomainError,
     ModelParams,
     constant_solutions,
     energy_density,
@@ -13,18 +12,6 @@ from sgwaves import (
 
 
 class TestModelParams:
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(DomainError):
-            ModelParams(0.0, 0.5)
-        with pytest.raises(DomainError):
-            ModelParams(-1.0, 0.5)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            ModelParams(math.nan, 0.5)
-        with pytest.raises(DomainError):
-            ModelParams(1.0, math.inf)
-
     def test_negative_gamma_is_flipped(self):
         p = ModelParams(1.0, -0.25)
         assert p.gamma == 0.25
@@ -42,10 +29,6 @@ class TestConstantSolutions:
         cs = constant_solutions(ModelParams(1.0, 0.5))
         assert cs.phi_s == pytest.approx(-math.pi / 6, abs=1e-15)
         assert cs.phi_u == pytest.approx(7 * math.pi / 6, abs=1e-15)
-
-    def test_absent_above_one(self):
-        with pytest.raises(DomainError):
-            constant_solutions(ModelParams(1.0, 1.5))
 
     def test_degenerate_at_one(self):
         cs = constant_solutions(ModelParams(1.0, 1.0))

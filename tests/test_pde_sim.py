@@ -63,11 +63,6 @@ class TestInitFromWave:
         state = init_from_wave(wave, 192, Circle(3))
         assert state.length == pytest.approx(3 * TWO_PI / math.sqrt(3.0), abs=1e-12)
 
-    def test_circle_needs_supercritical(self):
-        wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.DECREASING1)
-        with pytest.raises(DomainError):
-            init_from_wave(wave, 128, Circle(1))
-
     def test_segment_boundaries_near_asymptotes(self):
         params = ModelParams(1.0, 0.5)
         wave = TravellingWave(params, WaveBranch.DECREASING1)
@@ -86,50 +81,17 @@ class TestInitFromWave:
             assert np.array_equal(state.phi, phi_eval(wave, state.x, 0.0))
             assert np.array_equal(state.phi_prev, phi_eval(wave, state.x, -0.005))
 
-    @pytest.mark.parametrize("ends", [(-20.0, math.inf), (-math.inf, 20.0), (-1e308, 1e308),
-                                      (math.nan, 20.0), (20.0, 20.0), (0.0, 1e300)])
-    def test_segment_needs_finite_extent(self, ends):
-        # an infinite or overflowing x_hi - x_lo used to give a grid of NaN points;
-        # (0, 1e300) gives dx*dx = inf, which "diverged" at the first step
-        wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.DECREASING1)
-        with pytest.raises(DomainError):
-            init_from_wave(wave, 64, Segment(*ends))
-
-    @pytest.mark.parametrize("alpha, dt", [(1e-300, None), (1.0, 1e-300)])
-    def test_spacing_squares_must_be_normal(self, alpha, dt):
-        # dx*dx underflowing to 0 divided by zero; dt*dt = 0 asked for 1e300 steps per unit time
-        with pytest.raises(DomainError):
-            init_from_wave(kink_array_wave(alpha), 64, Circle(1), dt=dt)
-
-    @pytest.mark.parametrize("xi0, m", [(1e7, 1), (-1e7, 1), (1e300, 1), (0.0, 10**9)])
-    def test_rejects_field_beyond_blowup_guard(self, xi0, m):
-        # |phi| ~ 1.1e7 at xi0 = 1e7 passed, then diverged in the first steps
-        wave = TravellingWave(ModelParams(1.0, 1.5), WaveBranch.KINK_ARRAY, xi0=xi0)
-        with pytest.raises(DomainError, match="whole periods"):
-            init_from_wave(wave, 64, Circle(m))
-
     def test_field_inside_blowup_guard_is_accepted(self):
         # a circle of m turns spans |phi| up to about 2*pi*m
         m = int(pde_sim.BLOWUP_THRESHOLD / TWO_PI) - 1
         state = init_from_wave(kink_array_wave(1.0), 64, Circle(m))
         assert 0.9 * pde_sim.BLOWUP_THRESHOLD < np.max(np.abs(state.phi)) <= pde_sim.BLOWUP_THRESHOLD
 
-    def test_minimum_grid(self):
-        with pytest.raises(DomainError):
-            init_from_wave(kink_array_wave(), 32, Circle(1))
-
     def test_maximum_grid(self):
         # a huge n used to reach the array allocations unchecked
         wave = kink_array_wave()
         for domain in (Circle(1), Segment(-20.0, 20.0)):
             assert pde_sim.domain_grid(wave, pde_sim.MAX_GRID_POINTS, domain)[1] > 0.0
-            with pytest.raises(DomainError):
-                pde_sim.domain_grid(wave, pde_sim.MAX_GRID_POINTS + 1, domain)
-
-    @pytest.mark.parametrize("domain", [Circle(0), Circle(-1), (-20.0, 20.0)])
-    def test_circle_without_winding_or_unknown_domain_rejected(self, domain):
-        with pytest.raises(DomainError):
-            pde_sim.domain_grid(kink_array_wave(), 64, domain)
 
 
 GEOMETRY_SETTINGS = settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -169,27 +131,8 @@ class TestGeometry:
 
 
 class TestSpacingRule:
-    """A hand-built state obeys init_from_wave's grid rule wherever the kernel runs."""
-
-    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
-    @pytest.mark.parametrize("use", ["step", "total_energy", "write_snapshot_csv"])
-    def test_bad_dt_rejected(self, tmp_path, use, dt):
-        # each reached the kernel: total_energy read -0.242 at dt = -dx, and nan (with a
-        # RuntimeWarning at dt = 0) otherwise
-        state, params = replace(uniform_state(dx=0.1, value=1.0), dt=dt), ModelParams(1.0, 0.5)
-        calls = {"step": lambda: step(state, params, state.dt),
-                 "total_energy": lambda: total_energy(state, params),
-                 "write_snapshot_csv": lambda: pde_sim.write_snapshot_csv(state, params, tmp_path / "s.csv")}
-        with pytest.raises(DomainError):
-            calls[use]()
-
-    @staticmethod
-    def front_grid(n=512):
-        """A pinned front segment with dt = 0.9*dx computed as the front_scan benchmark does."""
-        params = ModelParams(0.7, 0.4)
-        wave = TravellingWave(params, WaveBranch.INCREASING2)
-        half = 40.0 * params.alpha / math.sqrt((1.0 - params.gamma) * (1.0 + params.gamma))
-        return wave, Segment(-half, half), 0.9 * (2.0 * half / (n - 1)), n
+    """The time-step limit dt = 0.9*dx itself runs wherever the kernel does (tests/test_refusals.py
+    holds the refusals, one ulp above it included)."""
 
     @pytest.mark.parametrize("domain", ["circle", "segment"])
     def test_limit_is_accepted_everywhere(self, tmp_path, domain):
@@ -197,8 +140,11 @@ class TestSpacingRule:
             wave, n = kink_array_wave(), 256
             dom, dt = Circle(2), 0.9 * (2 * xi_period(wave.params) / n)
             assert init_from_wave(wave, n, dom).dt == dt  # the default is the limit itself
-        else:
-            wave, dom, dt, n = self.front_grid()
+        else:  # a pinned front segment with dt = 0.9*dx computed as the front_scan benchmark does
+            params, n = ModelParams(0.7, 0.4), 512
+            wave = TravellingWave(params, WaveBranch.INCREASING2)
+            half = 40.0 * params.alpha / math.sqrt((1.0 - params.gamma) * (1.0 + params.gamma))
+            dom, dt = Segment(-half, half), 0.9 * (2.0 * half / (n - 1))
         state = init_from_wave(wave, n, dom, dt=dt)
         assert state.dt == pde_sim.CFL * state.dx
         step(state, wave.params, dt)
@@ -206,38 +152,8 @@ class TestSpacingRule:
         pde_sim.write_snapshot_csv(state, wave.params, tmp_path / "s.csv")
         evolve(state, wave.params, SimConfig(dt=dt, t_end=3 * dt), reference=wave)
 
-    @pytest.mark.parametrize("use", ["init_from_wave", "step", "evolve", "total_energy",
-                                     "write_snapshot_csv"])
-    def test_one_ulp_above_limit_rejected_everywhere(self, tmp_path, use):
-        wave, dom, dt, n = self.front_grid()
-        params, above = wave.params, math.nextafter(dt, math.inf)
-        state = replace(init_from_wave(wave, n, dom, dt=dt), dt=above)
-        calls = {"init_from_wave": lambda: init_from_wave(wave, n, dom, dt=above),
-                 "step": lambda: step(state, params, above),
-                 "evolve": lambda: evolve(state, params, SimConfig(dt=above, t_end=1.0)),
-                 "total_energy": lambda: total_energy(state, params),
-                 "write_snapshot_csv": lambda: pde_sim.write_snapshot_csv(state, params, tmp_path / "s.csv")}
-        with pytest.raises(DomainError, match="dt <= 0.9"):
-            calls[use]()
-        assert not (tmp_path / "s.csv").exists()
-
 
 class TestFieldStateShapes:
-    # a mismatched phi_prev was a broadcast ValueError in step and passed comoving_deviation;
-    # an empty circle was an IndexError in step and a ZeroDivisionError in comoving_deviation;
-    # a 2-point segment was an IndexError in total_energy
-    @pytest.mark.parametrize("phi,phi_prev,pinned", [
-        (np.zeros(64), np.zeros(63), None),
-        (np.zeros(64), np.zeros((1, 64)), None),
-        (np.zeros((2, 32)), np.zeros((2, 32)), None),
-        (np.zeros(()), np.zeros(()), None),
-        (np.zeros(0), np.zeros(0), None),
-        (np.zeros(2), np.zeros(2), TravellingWave(ModelParams(1.0, 0.5), WaveBranch.INCREASING2)),
-    ], ids=["prev-shorter", "prev-2d", "2d", "0d", "empty", "segment-of-2"])
-    def test_bad_shapes_refused(self, phi, phi_prev, pinned):
-        with pytest.raises(DomainError, match="1-d shape"):
-            FieldState(dx=0.1, phi=phi, phi_prev=phi_prev, t=0.0, dt=0.09, pinned=pinned)
-
     def test_only_shapes_are_checked(self):
         # the smallest circle and segment pass, and so does a NaN field: the blow-up guard catches it
         FieldState(dx=0.1, phi=np.zeros(1), phi_prev=np.zeros(1), t=0.0, dt=0.09)
@@ -277,16 +193,6 @@ class TestStep:
             state = step(state, params, dt)
         deviation, _ = comoving_deviation(state, wave)
         assert deviation < 1e-3
-
-    def test_dt_mismatch_rejected(self):
-        state = uniform_state()
-        with pytest.raises(DomainError):
-            step(state, ModelParams(1.0, 0.0), 0.5 * state.dt)
-
-    def test_cfl_hard_limit(self):
-        state = uniform_state(dt=0.2)  # dx = 0.1
-        with pytest.raises(DomainError):
-            step(state, ModelParams(1.0, 0.0), 0.2)
 
     def test_blowup_detection(self):
         # a huge uniform forcing accelerates the field past the threshold
@@ -943,18 +849,6 @@ class TestEvolve:
         assert report.final_state.t == state.dt
         assert report.times == [0.0, state.dt]
 
-    def test_cfl_guard_enforced(self):
-        # the time-step rule 0 < dt <= CFL*dx refuses 0.95*dx before any state exists
-        wave = kink_array_wave()
-        with pytest.raises(DomainError):
-            init_from_wave(wave, 128, Circle(1), dt=0.95 * xi_period(wave.params) / 128)
-
-    def test_config_dt_must_match_the_state(self):
-        wave = kink_array_wave()
-        state = init_from_wave(wave, 64, Circle(1))
-        with pytest.raises(DomainError):
-            evolve(state, wave.params, SimConfig(dt=0.5 * state.dt, t_end=1.0))
-
     def test_convergence_second_order(self):
         wave = kink_array_wave()
         period = xi_period(wave.params)
@@ -966,32 +860,6 @@ class TestEvolve:
             report = evolve(state, wave.params, config, reference=wave)
             finals.append(report.deviation[-1])
         assert finals[0] / finals[1] >= 3.5
-
-
-class TestSimConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(DomainError):
-            SimConfig(dt=0.0, t_end=1.0)
-        with pytest.raises(DomainError):
-            SimConfig(dt=0.1, t_end=0.0)
-        with pytest.raises(DomainError):
-            SimConfig(dt=0.1, t_end=1.0, record_every=0)
-        for amplitude in (-1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                Perturbation(amplitude, 1)
-        with pytest.raises(DomainError):
-            Perturbation(1e-3, 0)
-
-    def test_rejects_step_count_that_overflows(self):
-        # math.ceil(inf) used to raise OverflowError inside evolve
-        with pytest.raises(DomainError, match="t_end/dt"):
-            SimConfig(dt=1e-3, t_end=1e308)
-
-    def test_winding_requires_circle(self):
-        wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.DECREASING1)
-        state = init_from_wave(wave, 128, Segment(-20.0, 20.0))
-        with pytest.raises(DomainError):
-            winding_number(state)
 
 
 # Written-out copies of the derivatives the snapshot and total_energy used
