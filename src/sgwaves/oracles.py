@@ -274,12 +274,12 @@ def _units(err: float) -> int:
 def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] to absolute tolerance tol by panel bisection.
 
-    Each panel carries a 15-point Kronrod value plus a 7-point embedded
-    error estimate; the panel with the largest estimate is split until the
-    total estimate drops below tol.  f must accept numpy arrays.
-
-    The total is kept exactly, in _units.  int / int rounds correctly, so
-    the total read as a float is the fsum of the panel errors.
+    Each panel carries a 15-point Kronrod value plus a 7-point embedded error
+    estimate; the panel with the largest estimate is split until the total
+    estimate drops below tol.  MAX_QUAD_EVALS, read at call time, bounds the
+    evaluations (NoConvergence past it).  f must accept numpy arrays.  The
+    total is kept exactly, in _units.  int / int rounds correctly, so the
+    total read as a float is the fsum of the panel errors.
     """
     _check_interval(a, b, tol)
     with np.errstate(all="ignore"):  # once per quadrature, not per panel (2 us each); _gk15 refuses overflows
