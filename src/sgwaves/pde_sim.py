@@ -7,15 +7,15 @@ restriction comes from the wave part alone.  Domains are either a circle of
 length m*Xi with twisted periodic boundaries phi(x + L) = phi(x) +
 chirality*2*pi*m, or a segment whose end points are pinned to the exact
 travelling wave at the current time; `domain_grid` is the one place that
-turns either into a grid.  `_check_spacing` is the one time-step rule,
-0 < dt <= CFL*dx, and every kernel enforces it.  `step`, `evolve`,
-`total_energy` and the snapshot share one in-place leapfrog kernel.  It
-takes the update in a folded form,
-(a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), whose coefficients
-leave a constant field fixed exactly; its speed-ups must keep every result
-bit-identical to that form written out whole.  `_Leapfrog` states how,
-why the fold adds no drift, and why its blow-up guard, tested once per
-block of levels, is exact.
+turns either into a grid.  `step`, `evolve`, `total_energy` and the snapshot
+share one in-place leapfrog kernel.  Its constructor is the one gate for a
+step's time step: `_check_spacing`, the one time-step rule 0 < dt <= CFL*dx,
+then the dt's match with the state's.  The kernel takes the update in a
+folded form, (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), whose
+coefficients leave a constant field fixed exactly; its speed-ups must keep
+every result bit-identical to that form written out whole.  `_Leapfrog`
+states how, why the fold adds no drift, and why its blow-up guard, tested
+once per block of levels, is exact.
 
 The stability observable is the co-moving deviation: the RMS distance
 between the field and the reference wave minimized over spatial shifts.
@@ -200,6 +200,8 @@ class _Leapfrog:
     and phi[0] + twist, so one stencil covers every point.  On a segment
     (twist 0) they feed only the end values, which are then pinned to the
     exact wave.
+    The constructor is the one gate for a step's time step: `_check_spacing` on the
+    given dt, then that dt's match with state.dt, so a NaN dt meets the time-step rule.
     `run(steps)` steps t_next = t + dt from the kernel's own `t` and `dt`; on BlowUp,
     `t`, `prev` and `cur` hold the last good levels and `nxt` the rejected one.
 
@@ -230,8 +232,10 @@ class _Leapfrog:
     block runs under np.errstate(all="ignore") and ends in BlowUp, not a warning.
     """
 
-    def __init__(self, state: FieldState, params: ModelParams, steps: int = 1):
-        _check_spacing(state.dx, state.dt)
+    def __init__(self, state: FieldState, params: ModelParams, dt: float, steps: int = 1):
+        _check_spacing(state.dx, dt)
+        if dt != state.dt:
+            raise DomainError("dt must match the state's leapfrog spacing")
         size = min(_BLOCK_STEPS, max(1, _BLOCK_POINTS // state.n), steps)
         self.ring = np.empty((size + 2, state.n + 2))
         levels = [(row, row[1:-1], row[2:], row[:-2]) for row in self.ring] * 2
@@ -299,12 +303,9 @@ class _Leapfrog:
 def step(state: FieldState, params: ModelParams, dt: float) -> FieldState:
     """Advance one leapfrog step; raises BlowUp past the divergence threshold or on NaN or +-inf.
 
-    Each call builds a kernel (at n = 256, 27 us against 7 us a step in `evolve` on a 2-vCPU VM),
-    so a loop of steps belongs in `evolve`.
+    Each call builds a kernel, so a loop of steps belongs in `evolve`.
     """
-    if dt != state.dt:
-        raise DomainError("dt must match the state's leapfrog spacing")
-    kernel = _Leapfrog(state, params)
+    kernel = _Leapfrog(state, params, dt)
     kernel.run(1)
     return kernel.state(state)
 
@@ -325,8 +326,6 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
     that the initial phi_t is untouched.  In probe mode a BlowUp ends the
     run and is recorded in diverged_at instead of raising.
     """
-    if config.dt != state.dt:
-        raise DomainError("config.dt must match the state's leapfrog spacing")
     if config.perturbation is not None:
         kick = _perturbation_profile(state, config.perturbation)
         state = replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
@@ -334,7 +333,7 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
     report = DeviationReport()
     # whole steps, rounded up; a positive t_end below 1e-12*dt still takes one
     n_steps = max(1, int(math.ceil(config.t_end / config.dt - 1e-12)))
-    kernel = _Leapfrog(state, params, min(n_steps, config.record_every))
+    kernel = _Leapfrog(state, params, config.dt, min(n_steps, config.record_every))
 
     def record() -> None:
         if reference is None:
@@ -404,7 +403,7 @@ def _mean_square_mod_twist(phi: np.ndarray, ref: np.ndarray, twist: float) -> np
 def _centered_derivatives(state: FieldState, params: ModelParams) -> tuple:
     """Second-order (phi_t, phi_x) from one kernel step: phi_t by a centered difference in
     time, phi_x in space on the ghost-padded level, one-sided at pinned ends."""
-    kernel = _Leapfrog(state, params)
+    kernel = _Leapfrog(state, params, state.dt)
     # the levels at t and t + dt, taken by role before the step rotates the roles
     (_, _, right, left), (_, level, _, _) = kernel.cur, kernel.nxt
     with suppress(BlowUp):  # the rejected level (maybe inf or nan) is written all the same

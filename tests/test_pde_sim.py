@@ -2,7 +2,9 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -194,27 +196,6 @@ class TestStep:
         deviation, _ = comoving_deviation(state, wave)
         assert deviation < 1e-3
 
-    def test_blowup_detection(self):
-        # a huge uniform forcing accelerates the field past the threshold
-        state = uniform_state(value=0.0)
-        strong = ModelParams(1e-3, 1e6)
-        with pytest.raises(BlowUp) as info:
-            for _ in range(10000):
-                state = step(state, strong, state.dt)
-        assert info.value.t is not None
-
-    def test_nan_field_detected(self):
-        # NaN compares False with the threshold, so the guard must not rely on '>'
-        state = uniform_state(value=0.0)
-        state = replace(state, phi=np.where(np.arange(state.n) == 7, math.nan, state.phi))
-        with pytest.raises(BlowUp) as info:
-            step(state, ModelParams(1.0, 0.5), state.dt)
-        assert info.value.t == pytest.approx(state.dt)
-        config = SimConfig(dt=state.dt, t_end=1.0, probe=True)
-        report = evolve(state, ModelParams(1.0, 0.5), config)
-        assert report.diverged_at == pytest.approx(state.dt)
-        assert report.final_state.t == 0.0
-
 
 def folded_coefficients(params, dx, dt):
     """(a, b, c, k, e) of the folded update: a and k on the 2**-52 grid and b = (1 - 2a) + k."""
@@ -403,7 +384,7 @@ class TestKernel:
             return phi_eval(wave, x, t)
 
         monkeypatch.setattr(pde_sim, "phi_eval", failing_phi_eval)
-        kernel = pde_sim._Leapfrog(state, wave.params, 48)
+        kernel = pde_sim._Leapfrog(state, wave.params, state.dt, 48)
         kernel.run(32)
         ring, t, p = kernel.ring.copy(), kernel.t, kernel.p
         with pytest.raises(DomainError, match="no end values"):
@@ -419,26 +400,6 @@ class TestKernel:
         for probe in (False, True):
             with pytest.raises(DomainError, match="no end values"):
                 evolve(state, wave.params, replace(config, probe=probe))
-
-    @pytest.mark.parametrize("poison", [None, math.nan, math.inf, -math.inf])
-    def test_probe_divergence_matches_step_loop(self, poison, tmp_path):
-        params = ModelParams(1e-3, 1e6)
-        state = uniform_state(value=0.0)
-        if poison is not None:
-            state = replace(state, phi=np.where(np.arange(state.n) == 5, poison, state.phi))
-            # a one-level kernel (a step, record_every=1, the snapshot's derivative step) reports the
-            # non-finite field as a blow-up, as a longer ring does, and raises no RuntimeWarning
-            with pytest.raises(BlowUp) as info:
-                step(state, params, state.dt)
-            assert info.value.t == state.dt
-            one = evolve(state, params, SimConfig(dt=state.dt, t_end=1.0, record_every=1, probe=True))
-            assert one.diverged_at == state.dt
-            pde_sim.write_snapshot_csv(state, params, tmp_path / "snap.csv")
-            assert len((tmp_path / "snap.csv").read_text().splitlines()) == 1 + state.n
-        config = SimConfig(dt=state.dt, t_end=1000 * state.dt, record_every=10**9, probe=True)
-        expected = step_loop(state, params, config, 1000)
-        assert expected.diverged_at is not None
-        assert_same_report(evolve(state, params, config), expected, equal_nan=True)
 
     def test_final_state_owns_its_arrays(self, kernels):
         wave, state = perturbed_circle()
@@ -471,19 +432,21 @@ class TestKernel:
     @pytest.mark.parametrize("alpha, ratio", [(0.5, 0.9), (2.0, 0.9), (0.5, 1e-3), (1e-6, 0.3), (1e3, 0.5)])
     def test_fold_keeps_a_constant_field_fixed(self, alpha, ratio):
         # 2a + b - k = 1 with no rounding, also for a small dt/dx and a negative k
-        kernel = pde_sim._Leapfrog(uniform_state(dx=0.37, dt=0.37 * ratio), ModelParams(alpha, 1.5))
+        state = uniform_state(dx=0.37, dt=0.37 * ratio)
+        kernel = pde_sim._Leapfrog(state, ModelParams(alpha, 1.5), state.dt)
         a, b, k = (Fraction(float(v)) for v in (kernel.a, kernel.b, kernel.k))
         assert 2 * a + b - k == 1
 
-    @pytest.mark.parametrize("gamma, diverging_step", [(2e6, 11), (1e6, 16)])
-    def test_probe_divergence_in_a_record_interval_matches_step_loop(self, gamma, diverging_step):
-        # with record_every 3, step 11 diverges mid-interval and step 16 right after a record
-        params, wave = ModelParams(1e-3, gamma), kink_array_wave()
-        state = uniform_state(value=0.0)
-        config = SimConfig(dt=state.dt, t_end=1000 * state.dt, record_every=3, probe=True)
-        expected = step_loop(state, params, config, 1000, wave)
-        assert expected.diverged_at == pytest.approx(diverging_step * state.dt)
-        assert_same_report(evolve(state, params, config, reference=wave), expected)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_poisoned_field_in_a_one_level_kernel(self, value, tmp_path):
+        # a step and the snapshot's derivative step report a non-finite field as a blow-up, as a longer
+        # ring does (see DIVERGENCES), and raise no RuntimeWarning
+        state, params = poisoned(value), ModelParams(1e-3, 1e6)
+        with pytest.raises(BlowUp) as info:
+            step(state, params, state.dt)
+        assert info.value.t == state.dt
+        pde_sim.write_snapshot_csv(state, params, tmp_path / "snap.csv")
+        assert len((tmp_path / "snap.csv").read_text().splitlines()) == 1 + state.n
 
     def test_diverged_state_snapshot_takes_the_rejected_level(self, tmp_path, monkeypatch):
         # the snapshot of a probe's last good state used to step into the
@@ -580,62 +543,81 @@ class TestBlowUpGuard:
             reference_step(state, self.params, state.dt)
         assert info.value.t == ref.value.t == state.dt
 
-    @pytest.mark.parametrize("name", guard_cases())
-    def test_probe_evolve_edges(self, name):
-        state = stepping_to(guard_cases()[name], self.params)
-        config = SimConfig(dt=state.dt, t_end=5 * state.dt, probe=True)
-        expected = step_loop(state, self.params, config, 5, stepper=reference_step)
-        assert expected.diverged_at is not None  # at the first step, or the one after +-1e6
-        assert_same_report(evolve(state, self.params, config), expected, equal_nan=True)
+
+class Divergence(NamedTuple):
+    state: Callable[[], FieldState]  # built when the row runs
+    params: ModelParams
+    steps: int
+    diverging_step: int | None  # the step whose level the guard rejects; None for a run to the end
+    record_every: int = 10**9
+    reference: TravellingWave | None = None
+    stepper: Callable = step  # what step_loop loops for the expected report
 
 
-class TestBlockGuard:
-    """evolve tests the guard once per block of levels; a loop of step, a block of one, is the reference."""
+def divergence(name, *fields, **named):
+    return pytest.param(Divergence(*fields, **named), id=name)
 
-    @staticmethod
-    def check(state, params, steps, diverging_step, kernels):
-        config = SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=10**9, probe=True)
-        report = evolve(state, params, config)
-        expected = step_loop(state, params, config, steps)
-        assert expected.diverged_at == pytest.approx(diverging_step * state.dt)
-        assert_same_report(report, expected, equal_nan=True)
-        kernel, final, last = kernels[0], report.final_state, expected.final_state
-        # the snapshot's phi_t steps into the rejected level, which the block left in nxt
-        phi_t, _ = pde_sim._centered_derivatives(last, params)
-        assert np.array_equal(pde_sim._centered_derivatives(final, params)[0], phi_t, equal_nan=True)
-        assert np.array_equal((kernel.nxt[1] - final.phi_prev) / (2.0 * final.dt), phi_t, equal_nan=True)
 
+def poisoned(value):
+    """The zero uniform state with phi[5] = value."""
+    state = uniform_state()
+    return replace(state, phi=np.where(np.arange(state.n) == 5, value, state.phi))
+
+
+# Every way a probe run ends in divergence, or reaches its end through the guard's exact fallback.
+DIVERGENCES = [
     # a uniform field under strong forcing passes 1e6 at a step set by gamma; blocks are 16 levels in
     # a ring of 18 rows, so the third block fills rows 16, 17 and then 0 to 13
-    @pytest.mark.parametrize("gamma, diverging_step", [
+    *(divergence(f"block-gamma-{gamma:g}", uniform_state, ModelParams(1e-3, gamma), 1000, at) for gamma, at in [
         (1e9, 1), (4.4e6, 8), (1e6, 16),  # the first, a middle and the last level of the first block
         (9e5, 17), (4.4e5, 24), (2.4e5, 32),  # and of the second
-        (2.3e5, 33), (2e5, 35), (1.07e5, 48),  # and of the third, on both sides of the ring's end
-    ])
-    def test_blowup_in_a_block(self, gamma, diverging_step, kernels):
-        self.check(uniform_state(), ModelParams(1e-3, gamma), 1000, diverging_step, kernels)
+        (2.3e5, 33), (2e5, 35), (1.07e5, 48)]),  # and of the third, on both sides of the ring's end
+    divergence("run-shorter-than-a-block", uniform_state, ModelParams(1e-3, 8e6), 10, 6),
+    # the interior runs away under the forcing while the ends stay on the pinned wave
+    *(divergence(f"pinned-segment-gamma-{gamma:g}", lambda: perturbed_segment()[1], ModelParams(1e-3, gamma), 1000,
+                 at) for gamma, at in [(1e6, 9), (1e5, 27)]),
+    # with record_every 3, step 11 diverges mid-interval and step 16 right after a record
+    *(divergence(f"record-interval-gamma-{gamma:g}", uniform_state, ModelParams(1e-3, gamma), 1000, at, 3,
+                 kink_array_wave()) for gamma, at in [(2e6, 11), (1e6, 16)]),
+    # a non-finite field, under strong or weak forcing, is rejected at the first step by a block of 16
+    # levels, by a one-level kernel (record_every 1) and by the block of a 12-step run
+    *(divergence(f"poison-{value}{suffix}", partial(poisoned, value), params, steps, 1, every)
+      for value in [math.nan, math.inf, -math.inf]
+      for suffix, params, steps, every in [("", ModelParams(1e-3, 1e6), 1000, 10**9),
+                                           ("-one-level", ModelParams(1e-3, 1e6), 12, 1),
+                                           ("-weak-forcing", ModelParams(1.0, 0.5), 1000, 10**9),
+                                           ("-short-run", ModelParams(1.0, 0.5), 12, 50)]),
+    # under strong damping a level just over 1e6 at one point is followed by smaller ones, so the
+    # block's last level alone would pass the guard
+    divergence("spike-decays-within-a-block", partial(stepping_to, guard_cases()["just_over"], ModelParams(20.0, 0.0)),
+               ModelParams(20.0, 0.0), 16, 1),
+    # the guard's edges at 1e6 against the written-out update: past it, NaN or +-inf is rejected at
+    # once; a field all at +-1e6 passes its first step
+    *(divergence(f"edge-{name}", partial(stepping_to, values, ModelParams(0.1, 0.0)), ModelParams(0.1, 0.0), 5,
+                 2 if name == "all_at_limit" else 1, stepper=reference_step) for name, values in guard_cases().items()),
+    # every block fails the sum-of-squares pre-check, and the exact fallback finds no level past 1e6
+    divergence("fallback-every-block-never-diverges", partial(uniform_state, value=1e6 - 10), ModelParams(0.1, 0.0),
+               100, None),
+]
 
-    @pytest.mark.parametrize("gamma, diverging_step", [(1e6, 9), (1e5, 27)])
-    def test_blowup_in_a_block_of_a_pinned_segment(self, gamma, diverging_step, kernels):
-        # the interior runs away under the forcing while the ends stay on the pinned wave
-        _, state = perturbed_segment()
-        self.check(state, ModelParams(1e-3, gamma), 1000, diverging_step, kernels)
 
-    def test_blowup_in_a_run_shorter_than_a_block(self, kernels):
-        self.check(uniform_state(), ModelParams(1e-3, 8e6), 10, 6, kernels)
-
-    def test_spike_that_decays_within_a_block(self, kernels):
-        # under strong damping a level just over 1e6 at one point is followed by smaller ones, so the
-        # block's last level alone would pass the guard
-        params = ModelParams(20.0, 0.0)
-        values = np.zeros(64)
-        values[9] = np.nextafter(pde_sim.BLOWUP_THRESHOLD, math.inf)
-        self.check(stepping_to(values, params), params, 16, 1, kernels)
-
-    def test_nan_poison(self, kernels):
-        state = uniform_state()
-        state = replace(state, phi=np.where(np.arange(state.n) == 5, math.nan, state.phi))
-        self.check(state, ModelParams(1.0, 0.5), 1000, 1, kernels)
+@pytest.mark.parametrize("row", DIVERGENCES)
+def test_divergence(row, kernels):
+    """evolve in probe mode against a loop of steps, bit for bit with NaN counted as equal; a diverged
+    run ends at its diverging step, and its snapshot's phi_t steps into the rejected level, which the
+    kernel left in nxt."""
+    state = row.state()
+    config = SimConfig(dt=state.dt, t_end=row.steps * state.dt, record_every=row.record_every, probe=True)
+    report = evolve(state, row.params, config, row.reference)
+    expected = step_loop(state, row.params, config, row.steps, row.reference, row.stepper)
+    assert_same_report(report, expected, equal_nan=True)
+    if row.diverging_step is None:
+        assert report.diverged_at is None
+        return
+    assert report.diverged_at == pytest.approx(row.diverging_step * state.dt)
+    final, phi_t = report.final_state, pde_sim._centered_derivatives(expected.final_state, row.params)[0]
+    assert np.array_equal(pde_sim._centered_derivatives(final, row.params)[0], phi_t, equal_nan=True)
+    assert np.array_equal((kernels[0].nxt[1] - final.phi_prev) / (2.0 * final.dt), phi_t, equal_nan=True)
 
 
 class TestComovingDeviation:
@@ -831,14 +813,6 @@ class TestEvolve:
                            perturbation=Perturbation(1e-3, 1))
         report = evolve(state, params, config, reference=wave)
         assert max(report.deviation) > 100 * 1e-3
-
-    def test_probe_mode_records_divergence(self):
-        state = uniform_state(value=0.0)
-        strong = ModelParams(1e-3, 1e6)
-        config = SimConfig(dt=state.dt, t_end=100.0, record_every=10**9, probe=True)
-        report = evolve(state, strong, config)
-        assert report.diverged_at is not None
-        assert report.final_state.t < 100.0
 
     def test_tiny_t_end_takes_one_step(self):
         # ceil(t_end/dt - 1e-12) is 0 below 1e-12*dt, which returned the start
