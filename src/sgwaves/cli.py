@@ -246,7 +246,7 @@ def cmd_simulate(settings: _Settings, args: argparse.Namespace) -> int:
     report = pde_sim.evolve(state, wave.params, config, reference=wave)
     pde_sim.write_deviation_csv(report, out)
     if settings["snapshot_out"] is not None:
-        pde_sim.write_snapshot_csv(report.final_state, wave.params, settings["snapshot_out"])
+        pde_sim.write_snapshot_csv(report, settings["snapshot_out"])
     print(f"final_t = {_fmt(report.final_state.t)}")
     if report.deviation:
         print(f"final_deviation = {_fmt(report.deviation[-1])}")

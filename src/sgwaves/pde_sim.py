@@ -7,15 +7,16 @@ restriction comes from the wave part alone.  Domains are either a circle of
 length m*Xi with twisted periodic boundaries phi(x + L) = phi(x) +
 chirality*2*pi*m, or a segment whose end points are pinned to the exact
 travelling wave at the current time; `domain_grid` is the one place that
-turns either into a grid.  `step`, `evolve`, `total_energy` and the snapshot
-share one in-place leapfrog kernel.  Its constructor is the one gate for a
-step's time step: `_check_spacing`, the one time-step rule 0 < dt <= CFL*dx,
-then the dt's match with the state's.  The kernel takes the update in a
-folded form, (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), whose
-coefficients leave a constant field fixed exactly; its speed-ups must keep
-every result bit-identical to that form written out whole.  `_Leapfrog`
-states how, why the fold adds no drift, and why its blow-up guard, tested
-once per block of levels, is exact.
+turns either into a grid.  `step`, `evolve` and `total_energy` each run one
+in-place leapfrog kernel, and the snapshot takes phi_t from its run's.  The
+kernel's constructor is the one gate for a step's time step:
+`_check_spacing`, the one time-step rule 0 < dt <= CFL*dx, then the dt's
+match with the state's.  The kernel takes the update in a folded form,
+(a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), whose coefficients
+leave a constant field fixed exactly; its speed-ups must keep every result
+bit-identical to that form written out whole.  `_Leapfrog` states how, why
+the fold adds no drift, and why its blow-up guard, tested once per block of
+levels, is exact.
 
 The stability observable is the co-moving deviation: the RMS distance
 between the field and the reference wave minimized over spatial shifts.
@@ -24,6 +25,7 @@ between the field and the reference wave minimized over spatial shifts.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -44,6 +46,14 @@ _SCAN_BLOCK_POINTS = 1 << 18  # shift-scan squared distances formed per block
 MAX_GRID_POINTS = 2**22  # grid size cap: 32 MB per float64 array of the run
 CFL = 0.9  # largest dt/dx; the wave part alone needs dt <= dx
 NUMBER_FORMAT = "{:.17g}"  # every number sgwaves writes: 17 significant digits read back as the same double
+
+
+def _check_count(name: str, value) -> None:
+    """A count is a whole number: an int or a numpy integer, never a float (NaN and inf included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,7 @@ class Perturbation:
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise DomainError(f"perturbation amplitude must be finite and >= 0: {self.amplitude}")
+        _check_count("perturbation mode number", self.mode)
         if self.mode < 1:
             raise DomainError("perturbation mode number must be >= 1")
 
@@ -126,19 +137,21 @@ class SimConfig:
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end / self.dt) and self.t_end > 0.0):  # dt is finite and > 0
             raise DomainError(f"t_end must be positive with t_end/dt finite, got {self.t_end}/{self.dt}")
+        _check_count("record_every", self.record_every)
         if self.record_every < 1:
             raise DomainError("record_every must be >= 1")
 
 
 @dataclass
 class DeviationReport:
-    """Co-moving distance to the reference wave sampled over the run."""
+    """Co-moving distance to the reference wave sampled over the run; the run's kernel for its snapshot."""
 
     times: list[float] = field(default_factory=list)
     deviation: list[float] = field(default_factory=list)
     best_shift: list[float] = field(default_factory=list)
     diverged_at: float | None = None
     final_state: FieldState | None = None
+    kernel: _Leapfrog | None = field(default=None, repr=False, compare=False)
 
 
 def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
@@ -147,9 +160,11 @@ def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
     Circle(m): x0 = 0, dx = m*Xi/n and twist chirality*2*pi*m.  Segment:
     x0 = x_lo, dx = (x_hi - x_lo)/(n - 1) and the ends pinned to the wave.
     """
+    _check_count("grid size n", n)
     if not 64 <= n <= MAX_GRID_POINTS:
         raise DomainError(f"grid must have 64 <= n <= {MAX_GRID_POINTS} points, got {n}")
     if isinstance(domain, Circle):
+        _check_count("circle winding m", domain.m)
         if domain.m < 1:
             raise DomainError("circle winding m must be >= 1")
         if wave.params.gamma <= 1.0:
@@ -204,6 +219,8 @@ class _Leapfrog:
     given dt, then that dt's match with state.dt, so a NaN dt meets the time-step rule.
     `run(steps)` steps t_next = t + dt from the kernel's own `t` and `dt`; on BlowUp,
     `t`, `prev` and `cur` hold the last good levels and `nxt` the rejected one.
+    `derivatives()` looks one step ahead: it writes the level at t + dt into `nxt`, a
+    rejected one included, then puts `t` and the roles back, so the run goes on unmoved.
 
     A step takes (a*(left + right) + b*phi - k*prev) - (c*sin(phi) + e), with
     r = dt^2/dx^2, half = alpha*dt/2, gain = 1 + half, a = r/gain,
@@ -242,9 +259,9 @@ class _Leapfrog:
         # roles[p]: prev, cur and nxt of the step whose prev is row p; twice round the ring, so the
         # steps of any block are one slice
         self.roles = list(zip(levels, levels[1:], levels[2:]))
-        self._rotate(0)
+        self._rotate(0, state.t)
         self.tmp = np.empty(state.n)
-        self.t, self.twist, self.dt = state.t, state.twist, state.dt
+        self.twist, self.dt, self.dx = state.twist, state.dt, state.dx
         self.prev[1][:], self.cur[1][:] = state.phi_prev, state.phi
         self.cur[0][0], self.cur[0][-1] = state.phi[-1] - self.twist, state.phi[0] + self.twist
         dt2, half = state.dt * state.dt, 0.5 * params.alpha * state.dt
@@ -255,9 +272,9 @@ class _Leapfrog:
         self.pinned = None if state.pinned is None else (
             state.pinned, np.array([state.x0, state.x0 + (state.n - 1) * state.dx]))
 
-    def _rotate(self, p: int) -> None:
-        """Rows p and p + 1 of the ring become prev and cur, and the row after them nxt."""
-        self.p, (self.prev, self.cur, self.nxt) = p, self.roles[p]
+    def _rotate(self, p: int, t: float) -> None:
+        """Rows p and p + 1 of the ring become prev and cur at time t, and the row after them nxt."""
+        self.t, self.p, (self.prev, self.cur, self.nxt) = t, p, self.roles[p]
 
     def run(self, steps: int) -> None:
         """Take `steps` steps from the kernel's time `t` (see the class docstring)."""
@@ -287,13 +304,25 @@ class _Leapfrog:
                 if not flat.dot(flat) < _BLOWUP_SQUARED:
                     for j, (_, _, (_, out, _, _)) in enumerate(roles[p:p + block]):
                         if not np.abs(out, tmp).max() <= BLOWUP_THRESHOLD:
-                            self._rotate((p + j) % count)
-                            self.t = ts[j]
+                            self._rotate((p + j) % count, ts[j])
                             raise BlowUp(f"|phi| exceeded {BLOWUP_THRESHOLD:g} or is NaN at t={ts[j + 1]:g}",
                                          t=ts[j + 1])
                 p = (p + block) % count
-                self.t = ts[-1]
-        self._rotate(p)
+                self._rotate(p, ts[-1])
+
+    def derivatives(self) -> tuple:
+        """Second-order (phi_t, phi_x) at `t`: phi_t by a centered difference in time over the
+        look-ahead level, phi_x in space on cur's ghost-padded row, one-sided at pinned ends."""
+        t, p = self.t, self.p
+        with suppress(BlowUp):  # the rejected level (maybe inf or nan) is used as it is
+            self.run(1)
+        self._rotate(p, t)
+        (_, prev, _, _), (_, phi, right, left), (_, level, _, _) = self.prev, self.cur, self.nxt
+        phi_x = (right - left) / (2.0 * self.dx)
+        if self.pinned is not None:
+            phi_x[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * self.dx)
+            phi_x[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * self.dx)
+        return (level - prev) / (2.0 * self.dt), phi_x
 
     def state(self, like: FieldState) -> FieldState:
         """The current levels as a FieldState that owns copies of the arrays."""
@@ -330,10 +359,10 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
         kick = _perturbation_profile(state, config.perturbation)
         state = replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
 
-    report = DeviationReport()
     # whole steps, rounded up; a positive t_end below 1e-12*dt still takes one
     n_steps = max(1, int(math.ceil(config.t_end / config.dt - 1e-12)))
     kernel = _Leapfrog(state, params, config.dt, min(n_steps, config.record_every))
+    report = DeviationReport(kernel=kernel)
 
     def record() -> None:
         if reference is None:
@@ -400,22 +429,6 @@ def _mean_square_mod_twist(phi: np.ndarray, ref: np.ndarray, twist: float) -> np
     return np.mean(np.square(diff, out=diff), axis=-1)
 
 
-def _centered_derivatives(state: FieldState, params: ModelParams) -> tuple:
-    """Second-order (phi_t, phi_x) from one kernel step: phi_t by a centered difference in
-    time, phi_x in space on the ghost-padded level, one-sided at pinned ends."""
-    kernel = _Leapfrog(state, params, state.dt)
-    # the levels at t and t + dt, taken by role before the step rotates the roles
-    (_, _, right, left), (_, level, _, _) = kernel.cur, kernel.nxt
-    with suppress(BlowUp):  # the rejected level (maybe inf or nan) is written all the same
-        kernel.run(1)
-    phi = state.phi
-    phi_x = (right - left) / (2.0 * state.dx)
-    if state.pinned is not None:
-        phi_x[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * state.dx)
-        phi_x[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * state.dx)
-    return (level - state.phi_prev) / (2.0 * state.dt), phi_x
-
-
 @np.errstate(invalid="ignore")  # a non-finite field (cos(inf)) gives nan, not a warning
 def total_energy(state: FieldState, params: ModelParams) -> float:
     """Trapezoidal integral of the energy density over the grid.
@@ -423,7 +436,7 @@ def total_energy(state: FieldState, params: ModelParams) -> float:
     Diagnostic only: the damping and forcing terms make the true dynamics
     non-conservative.
     """
-    phi_t, phi_x = _centered_derivatives(state, params)
+    phi_t, phi_x = _Leapfrog(state, params, state.dt).derivatives()
     h = energy_density(state.phi, phi_t, phi_x, params.gamma)
     if state.pinned is None:
         return float(state.dx * np.sum(h))
@@ -453,10 +466,11 @@ def write_csv(path, header: str, *columns) -> None:
                       for cells in zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))
 
 
-def write_snapshot_csv(state: FieldState, params: ModelParams, path) -> None:
-    """Write the grid as CSV rows x,phi,phi_t (phi_t by centered difference)."""
-    phi_t, _ = _centered_derivatives(state, params)
-    write_csv(path, "x,phi,phi_t", state.x, state.phi, phi_t)
+def write_snapshot_csv(report: DeviationReport, path) -> None:
+    """Write the run's final grid as CSV rows x,phi,phi_t, phi_t from the run's own kernel."""
+    if report.kernel is None:
+        raise DomainError("the snapshot needs the report of an evolve run, which holds its kernel")
+    write_csv(path, "x,phi,phi_t", report.final_state.x, report.final_state.phi, report.kernel.derivatives()[0])
 
 
 def write_deviation_csv(report: DeviationReport, path) -> None:

@@ -30,6 +30,7 @@ KINK = "--alpha 0.5 --gamma 1.5 --branch kink_array"
 SIM = f"simulate {KINK} --domain circle --m 1 --n 128 --t-end 3 --record-every 20 --out OUT"
 # one ulp above dt <= 0.9*dx for KINK on a 64-point circle
 DT_ABOVE_LIMIT = math.nextafter(0.9 * (sgwaves.xi_period(ModelParams(0.5, 1.5)) / 64), math.inf)
+MAIN_SECONDS = 5.0  # an in-process refusal takes milliseconds
 
 
 def read_csv(path):
@@ -224,6 +225,11 @@ class TestSimulate:
         sheader, srows = read_csv(snap)
         assert sheader == ["x", "phi", "phi_t"]
         assert len(srows) == 128
+
+    def test_one_kernel_per_run(self, tmp_path, kernels):
+        # the snapshot's phi_t comes from the look-ahead of evolve's own kernel
+        assert main(self.args(tmp_path / "dev.csv", ["--snapshot-out", str(tmp_path / "snap.csv")])) == EXIT_OK
+        assert len(kernels) == 1
 
     def test_probe_mode_reports(self, tmp_path, capsys):
         out = tmp_path / "dev.csv"
@@ -483,9 +489,10 @@ def refused_argv(row, tmp_path):
 
 
 @pytest.mark.parametrize("row", REFUSALS)
-def test_refused_with_exit_2(tmp_path, capsys, caplog, row):
+def test_refused_with_exit_2(tmp_path, capsys, caplog, time_bound, row):
     try:
-        code = main(refused_argv(row, tmp_path))
+        with time_bound(MAIN_SECONDS):  # a refusal that loops fails its row, not the whole run
+            code = main(refused_argv(row, tmp_path))
     except SystemExit as exc:  # argparse refuses an unknown flag itself, on stderr
         code = exc.code
     out, err = capsys.readouterr()

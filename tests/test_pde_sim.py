@@ -8,7 +8,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sgwaves import (
@@ -151,8 +151,19 @@ class TestSpacingRule:
         assert state.dt == pde_sim.CFL * state.dx
         step(state, wave.params, dt)
         total_energy(state, wave.params)
-        pde_sim.write_snapshot_csv(state, wave.params, tmp_path / "s.csv")
-        evolve(state, wave.params, SimConfig(dt=dt, t_end=3 * dt), reference=wave)
+        report = evolve(state, wave.params, SimConfig(dt=dt, t_end=3 * dt), reference=wave)
+        pde_sim.write_snapshot_csv(report, tmp_path / "s.csv")
+
+
+def test_counts_may_be_numpy_integers():
+    # a count is refused unless it is a whole number (tests/test_refusals.py); a numpy integer is one
+    wave, reports = kink_array_wave(), []
+    for count in (int, np.int64):
+        state = init_from_wave(wave, count(64), Circle(count(2)))
+        config = SimConfig(dt=state.dt, t_end=10 * state.dt, record_every=count(3),
+                           perturbation=Perturbation(1e-3, count(2)))
+        reports.append(evolve(state, wave.params, config, reference=wave))
+    assert_same_report(*reports)
 
 
 class TestFieldStateShapes:
@@ -294,19 +305,6 @@ def assert_same_report(report, expected, equal_nan=False):
     assert np.array_equal(report.final_state.phi_prev, expected.final_state.phi_prev, equal_nan=equal_nan)
 
 
-@pytest.fixture
-def kernels(monkeypatch):
-    """Every pde_sim._Leapfrog built during the test, in order."""
-    built, build = [], pde_sim._Leapfrog
-
-    def recorded(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    monkeypatch.setattr(pde_sim, "_Leapfrog", recorded)
-    return built
-
-
 class TestKernel:
     """evolve and step share one in-place kernel; a loop of steps is the reference."""
 
@@ -396,6 +394,13 @@ class TestKernel:
         assert kernel.t == last.t
         assert np.array_equal(kernel.cur[1], last.phi)
         assert np.array_equal(kernel.prev[1], last.phi_prev)
+        # a run that fails in its second block keeps its first: t and the roles move together
+        other = pde_sim._Leapfrog(state, wave.params, state.dt, 48)
+        other.run(16)
+        with pytest.raises(DomainError, match="no end values"):
+            other.run(32)
+        assert (other.t, other.p) == (t, p)
+        assert np.array_equal(other.ring, ring)
         # probe catches only BlowUp, so evolve passes the error on with and without it
         for probe in (False, True):
             with pytest.raises(DomainError, match="no end values"):
@@ -416,17 +421,17 @@ class TestKernel:
 
     def test_ring_sizes(self, tmp_path, kernels):
         # a block is at most 16 levels, 2**16 grid points, the run's steps and its record interval;
-        # one step holds three levels, as do grids of 65536 points or more
+        # one step holds three levels, as do grids of 65536 points or more.  The snapshot builds none
         wave, state = perturbed_circle()
         step(state, wave.params, state.dt)
         total_energy(state, wave.params)
-        pde_sim.write_snapshot_csv(state, wave.params, tmp_path / "snap.csv")
         for steps, every in ((1707, 50), (5, 50), (1707, 4), (1707, 1)):
-            evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=every))
+            report = evolve(state, wave.params, SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=every))
+            pde_sim.write_snapshot_csv(report, tmp_path / "snap.csv")
         for n in (4096, 8192, 65536):
             big = init_from_wave(wave, n, Circle(2))
             evolve(big, wave.params, SimConfig(dt=big.dt, t_end=20 * big.dt))
-        assert [kernel.ring.shape for kernel in kernels] == [(3, 202)] * 3 + [
+        assert [kernel.ring.shape for kernel in kernels] == [(3, 202)] * 2 + [
             (18, 202), (7, 202), (6, 202), (3, 202), (18, 4098), (10, 8194), (3, 65538)]
 
     @pytest.mark.parametrize("alpha, ratio", [(0.5, 0.9), (2.0, 0.9), (0.5, 1e-3), (1e-6, 0.3), (1e3, 0.5)])
@@ -438,14 +443,17 @@ class TestKernel:
         assert 2 * a + b - k == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_poisoned_field_in_a_one_level_kernel(self, value, tmp_path):
-        # a step and the snapshot's derivative step report a non-finite field as a blow-up, as a longer
-        # ring does (see DIVERGENCES), and raise no RuntimeWarning
+    def test_poisoned_field_in_a_one_level_kernel(self, value, tmp_path, kernels):
+        # a step, a one-step probe run and its snapshot's look-ahead report a non-finite field as a
+        # blow-up, as a longer ring does (see DIVERGENCES), and raise no RuntimeWarning
         state, params = poisoned(value), ModelParams(1e-3, 1e6)
         with pytest.raises(BlowUp) as info:
             step(state, params, state.dt)
         assert info.value.t == state.dt
-        pde_sim.write_snapshot_csv(state, params, tmp_path / "snap.csv")
+        report = evolve(state, params, SimConfig(dt=state.dt, t_end=state.dt, probe=True))
+        assert report.diverged_at == state.dt
+        pde_sim.write_snapshot_csv(report, tmp_path / "snap.csv")
+        assert [kernel.ring.shape for kernel in kernels] == [(3, state.n + 2)] * 2
         assert len((tmp_path / "snap.csv").read_text().splitlines()) == 1 + state.n
 
     def test_diverged_state_snapshot_takes_the_rejected_level(self, tmp_path, monkeypatch):
@@ -454,9 +462,9 @@ class TestKernel:
         params = ModelParams(1e-3, 1e6)
         state = uniform_state(value=0.0)
         config = SimConfig(dt=state.dt, t_end=100.0, probe=True)
-        final = evolve(state, params, config).final_state
-        path = tmp_path / "snap.csv"
-        pde_sim.write_snapshot_csv(final, params, path)
+        report = evolve(state, params, config)
+        final, path = report.final_state, tmp_path / "snap.csv"
+        pde_sim.write_snapshot_csv(report, path)
         assert math.isfinite(total_energy(final, params))
         snap = np.loadtxt(path, delimiter=",", skiprows=1)
         monkeypatch.setattr(pde_sim, "BLOWUP_THRESHOLD", math.inf)
@@ -602,10 +610,10 @@ DIVERGENCES = [
 
 
 @pytest.mark.parametrize("row", DIVERGENCES)
-def test_divergence(row, kernels):
+def test_divergence(row, kernels, tmp_path):
     """evolve in probe mode against a loop of steps, bit for bit with NaN counted as equal; a diverged
-    run ends at its diverging step, and its snapshot's phi_t steps into the rejected level, which the
-    kernel left in nxt."""
+    run ends at its diverging step, and its snapshot's phi_t steps the run's kernel into the rejected
+    level, which that kernel left in nxt."""
     state = row.state()
     config = SimConfig(dt=state.dt, t_end=row.steps * state.dt, record_every=row.record_every, probe=True)
     report = evolve(state, row.params, config, row.reference)
@@ -615,9 +623,14 @@ def test_divergence(row, kernels):
         assert report.diverged_at is None
         return
     assert report.diverged_at == pytest.approx(row.diverging_step * state.dt)
-    final, phi_t = report.final_state, pde_sim._centered_derivatives(expected.final_state, row.params)[0]
-    assert np.array_equal(pde_sim._centered_derivatives(final, row.params)[0], phi_t, equal_nan=True)
-    assert np.array_equal((kernels[0].nxt[1] - final.phi_prev) / (2.0 * final.dt), phi_t, equal_nan=True)
+    final, rejected, built, path = report.final_state, report.kernel.nxt[1].copy(), len(kernels), tmp_path / "snap.csv"
+    pde_sim.write_snapshot_csv(report, path)
+    assert report.kernel is kernels[0] and len(kernels) == built
+    phi_t = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+    assert np.array_equal(phi_t, (rejected - final.phi_prev) / (2.0 * final.dt), equal_nan=True)
+    # a kernel built afresh on the step loop's last good state takes the same look-ahead
+    fresh = pde_sim._Leapfrog(expected.final_state, row.params, state.dt)
+    assert np.array_equal(fresh.derivatives()[0], phi_t, equal_nan=True)
 
 
 class TestComovingDeviation:
@@ -860,19 +873,49 @@ def reference_total_energy(state, params):
     return float(state.dx * (0.5 * h[0] + np.sum(h[1:-1]) + 0.5 * h[-1]))
 
 
-class TestCenteredDerivatives:
-    """Snapshot phi_t and total_energy from one kernel, bit-identical to the references above."""
+@st.composite
+def look_ahead_runs(draw):
+    """(wave, state, config, more): a kicked kink array on Circle(m) or front on a pinned Segment, a run
+    of 1 to 40 steps in record intervals of 1 to 20 (so the run can end with nxt on the ring's first
+    row), and 1 to 40 more steps to continue it by."""
+    alpha, xi0, chirality = draw(alphas), draw(xi0s), draw(chiralities)
+    if draw(st.booleans()):
+        wave = TravellingWave(ModelParams(alpha, draw(st.floats(1.05, 4.0))), WaveBranch.KINK_ARRAY, xi0, chirality)
+        domain = Circle(draw(st.integers(1, 3)))
+    else:
+        branch = draw(st.sampled_from([WaveBranch.DECREASING1, WaveBranch.INCREASING2]))
+        wave = TravellingWave(ModelParams(alpha, draw(st.floats(0.05, 0.95))), branch, xi0, chirality)
+        half = 40.0 / subcritical_rate(wave.params)
+        domain = Segment(-half, half)
+    state = init_from_wave(wave, draw(st.integers(64, 160)), domain)
+    kick = draw(st.sampled_from([None, Perturbation(1e-3, 2), Perturbation(0.1, 5)]))
+    config = SimConfig(dt=state.dt, t_end=draw(st.integers(1, 40)) * state.dt,
+                       record_every=draw(st.integers(1, 20)), perturbation=kick)
+    return wave, state, config, draw(st.integers(1, 40))
 
-    @pytest.mark.parametrize("make", [perturbed_circle, perturbed_segment])
-    def test_match_reference_bit_for_bit(self, make, tmp_path):
-        wave, start = make()
-        evolved = evolve(start, wave.params, SimConfig(dt=start.dt, t_end=30 * start.dt)).final_state
-        for state in (start, evolved):
-            phi_t, phi_x = pde_sim._centered_derivatives(state, wave.params)
-            assert np.array_equal(phi_t, reference_phi_t(state, wave.params))
-            assert np.array_equal(phi_x, reference_phi_x(state))
-            assert total_energy(state, wave.params) == reference_total_energy(state, wave.params)
-            path = tmp_path / "snap.csv"
-            pde_sim.write_snapshot_csv(state, wave.params, path)
-            snap = np.loadtxt(path, delimiter=",", skiprows=1)
-            assert np.array_equal(snap[:, 2], reference_phi_t(state, wave.params))
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=look_ahead_runs())
+def test_derivatives_look_ahead_on_the_runs_kernel(run, tmp_path):
+    """The snapshot's phi_t, the kernel's phi_x and total_energy are bit-identical to the written-out
+    references; a look-ahead leaves the kernel where it was, so the run goes on as if none was taken."""
+    wave, state, config, more = run
+    report = evolve(state, wave.params, config)
+    kernel, final, path = report.kernel, report.final_state, tmp_path / "snap.csv"
+    t, p, prev, cur = kernel.t, kernel.p, kernel.prev[0].copy(), kernel.cur[0].copy()
+    pde_sim.write_snapshot_csv(report, path)
+    snap = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(snap[:, 1], final.phi)
+    assert np.array_equal(snap[:, 2], reference_phi_t(final, wave.params))
+    for _ in range(2):
+        phi_t, phi_x = kernel.derivatives()
+        assert np.array_equal(phi_t, snap[:, 2])
+        assert np.array_equal(phi_x, reference_phi_x(final))
+        assert (kernel.t, kernel.p) == (t, p)
+        assert np.array_equal(kernel.prev[0], prev) and np.array_equal(kernel.cur[0], cur)
+    assert total_energy(final, wave.params) == reference_total_energy(final, wave.params)
+    kernel.run(more)
+    whole = evolve(state, wave.params, replace(config, t_end=config.t_end + more * state.dt)).final_state
+    assert kernel.t == whole.t
+    assert np.array_equal(kernel.cur[1], whole.phi) and np.array_equal(kernel.prev[1], whole.phi_prev)

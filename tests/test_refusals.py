@@ -59,7 +59,6 @@ USES = {  # each call on a hand-built state runs the time-step rule
     "step": lambda state, params: step(state, params, state.dt),
     "evolve": lambda state, params: evolve(state, params, SimConfig(dt=state.dt, t_end=1.0)),
     "total_energy": total_energy,
-    "write_snapshot_csv": lambda state, params: write_snapshot_csv(state, params, "s.csv"),
 }
 
 
@@ -257,6 +256,9 @@ REFUSALS = [
               f"perturbation amplitude must be finite and >= 0: {amplitude}")
       for amplitude in [-1.0, math.nan, math.inf]),
     refusal("mode-0", partial(Perturbation, 1e-3, 0), DomainError, "perturbation mode number must be >= 1"),
+    # a count must be a whole number: mode inf warned in sin and mode nan made the field NaN, read as a blow-up
+    *(refusal(f"mode-{mode}", partial(Perturbation, 1e-3, mode), DomainError,
+              f"perturbation mode number must be a whole number, got {mode}") for mode in [1.5, math.inf, math.nan]),
     *(refusal(f"config-dt-{dt}", partial(SimConfig, dt=dt, t_end=1.0), DomainError,
               f"dt must be finite and positive, got {dt}") for dt in [0.0, math.nan]),
     refusal("config-t-end-0", partial(SimConfig, dt=0.1, t_end=0.0), DomainError, f"{T_END}0.0/0.1"),
@@ -264,13 +266,22 @@ REFUSALS = [
     refusal("config-step-count-overflows", partial(SimConfig, dt=1e-3, t_end=1e308), DomainError, f"{T_END}1e+308/"),
     refusal("config-record-every-0", partial(SimConfig, dt=0.1, t_end=1.0, record_every=0), DomainError,
             "record_every must be >= 1"),
+    # each was a TypeError in evolve's range()
+    *(refusal(f"config-record-every-{every}", partial(SimConfig, dt=0.1, t_end=1.0, record_every=every), DomainError,
+              f"record_every must be a whole number, got {every}") for every in [1.5, math.inf, math.nan]),
     # pde_sim: grids
     refusal("grid-n-32", lambda: init_from_wave(kink(), 32, Circle(1)), DomainError, f"{GRID}32"),
+    # 64.5 ran on 65 points spaced for 64.5
+    refusal("grid-n-64.5", lambda: init_from_wave(kink(), 64.5, Circle(1)), DomainError,
+            "grid size n must be a whole number, got 64.5"),
     # a huge n used to reach the array allocations unchecked
     *(refusal(f"grid-n-over-cap-{type(domain).__name__}", partial(built, pde_sim.domain_grid, kink, n, domain),
               DomainError, f"{GRID}{n}") for n in [pde_sim.MAX_GRID_POINTS + 1] for domain in [Circle(1), SEGMENT]),
     *(refusal(f"circle-m-{m}", partial(built, pde_sim.domain_grid, kink, 64, Circle(m)), DomainError,
               "circle winding m must be >= 1") for m in [0, -1]),
+    # Circle(1.5) twisted by 3*pi, half a kink
+    refusal("circle-m-1.5", lambda: init_from_wave(kink(), 64, Circle(1.5)), DomainError,
+            "circle winding m must be a whole number, got 1.5"),
     refusal("circle-subcritical", lambda: init_from_wave(front(), 128, Circle(1)), DomainError,
             "circle domains need gamma > 1 (period undefined otherwise)"),
     # an infinite or overflowing x_hi - x_lo used to give a grid of NaN points
@@ -292,8 +303,8 @@ REFUSALS = [
     # a hand-built state meets the same rule wherever the kernel runs: total_energy read -0.242 at
     # dt = -dx, and nan (with a RuntimeWarning at dt = 0) otherwise
     *(refusal(f"spacing-{use}-dt-{dt}", partial(built, USES[use], partial(uniform_state, dt), HALF), DomainError, STEP)
-      for use, dts in [("step", [0.0, -0.1, 0.2]), ("evolve", [0.2]), ("total_energy", [0.0, -0.1, math.nan, 0.2]),
-                       ("write_snapshot_csv", [0.0, -0.1, math.nan, 0.2])] for dt in dts),
+      for use, dts in [("step", [0.0, -0.1, 0.2]), ("evolve", [0.2]), ("total_energy", [0.0, -0.1, math.nan, 0.2])]
+      for dt in dts),
     *(refusal(f"spacing-{use}-one-ulp-above", partial(built, call, lambda: replace(front_grid(), dt=ABOVE),
               FRONT_PARAMS), DomainError, STEP) for use, call in USES.items()),
     refusal("spacing-step-dt-nan", lambda: step(uniform_state(math.nan), HALF, math.nan), DomainError, STEP),
@@ -303,6 +314,9 @@ REFUSALS = [
     *(refusal(f"{name}-dt-mismatch", call, DomainError, "dt must match the state's leapfrog spacing")
       for name, call in [("step", lambda: step(uniform_state(), HALF, 0.045)),
                          ("evolve", lambda: evolve(uniform_state(), HALF, SimConfig(dt=0.045, t_end=1.0)))]),
+    # the snapshot steps its run's kernel, which passed the time-step gate in evolve
+    refusal("snapshot-without-a-run", lambda: write_snapshot_csv(pde_sim.DeviationReport(), "s.csv"), DomainError,
+            "the snapshot needs the report of an evolve run"),
     refusal("winding-on-a-segment", lambda: winding_number(init_from_wave(front(), 128, SEGMENT)), DomainError,
             "winding is defined on twisted periodic domains only"),
 ]
