@@ -58,7 +58,7 @@ def load_config(path: str) -> dict[str, str]:
     if len(data) > MAX_CONFIG_BYTES:
         raise DomainError(f"{path}: config file larger than {MAX_CONFIG_BYTES} bytes")
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a byte-order mark is not part of the first key
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a UTF-8 text file ({exc})") from exc
     settings: dict[str, str] = {}

@@ -14,11 +14,11 @@ tol that is not positive (`_check_interval`); a NaN start or g0 = +-inf; a
 start rate that moves the state over one unit in a step of the finest RK4
 pass; a first RK4 pass over MAX_RK4_STEPS steps; g bounds that are not
 finite, or whose closed path meets a zero of gamma - sin(s); quad_period at
-gamma <= 1; identities_check off 0 <= gamma <= 1; a stencil step outside
-(0, inf).  After it: a quadrature panel, panel sum or residual that is not
-finite.  NoConvergence: an RK4 doubling past MAX_RK4_STEPS or stalled at its
-rounding floor, or a quadrature past MAX_QUAD_EVALS evaluations; read at call
-time, these two are the only work bounds.
+gamma <= 1; identities_check off 0 <= gamma <= 1 (theta's rule); a stencil
+step outside (0, inf).  After it: a quadrature panel, panel sum or residual
+that is not finite.  NoConvergence: an RK4 doubling past MAX_RK4_STEPS or
+stalled at its rounding floor, or a quadrature past MAX_QUAD_EVALS
+evaluations; read at call time, these two are the only work bounds.
 
 The RK4 loops are written out stage by stage, with no call per stage.  Each
 stage does the same floating-point operations in the same order as a step
@@ -364,10 +364,8 @@ def identities_check(gamma: float) -> dict[str, float]:
     the F values at both fixed points, tan(pi/8) = sqrt(2) - 1, and the
     quadruplication formula for sin(4*theta).  The fixed points are the
     library's `constant_y_value` (alpha plays no part in them); at gamma = 0,
-    y_- = -inf and F(-inf) = 0 = tan 0.
+    y_- = -inf and F(-inf) = 0 = tan 0.  theta refuses a gamma off [0, 1].
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"identities defined for 0 <= gamma <= 1, got {gamma}")
     th = theta(gamma)
     root = math.sqrt((1.0 - gamma) * (1.0 + gamma))
     sqrt2 = math.sqrt(2.0)

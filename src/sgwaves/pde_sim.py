@@ -48,12 +48,14 @@ CFL = 0.9  # largest dt/dx; the wave part alone needs dt <= dx
 NUMBER_FORMAT = "{:.17g}"  # every number sgwaves writes: 17 significant digits read back as the same double
 
 
-def _check_count(name: str, value) -> None:
-    """A count is a whole number: an int or a numpy integer, never a float (NaN and inf included)."""
+def _check_count(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """A count is a whole number from lo to hi: an int or a numpy integer, never a float (NaN and inf too)."""
     try:
         operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise DomainError(f"{name} must be in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,7 @@ class Perturbation:
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise DomainError(f"perturbation amplitude must be finite and >= 0: {self.amplitude}")
-        _check_count("perturbation mode number", self.mode)
-        if self.mode < 1:
-            raise DomainError("perturbation mode number must be >= 1")
+        _check_count("perturbation mode number", self.mode, 1, MAX_GRID_POINTS)  # no grid resolves more modes
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,7 @@ class SimConfig:
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end / self.dt) and self.t_end > 0.0):  # dt is finite and > 0
             raise DomainError(f"t_end must be positive with t_end/dt finite, got {self.t_end}/{self.dt}")
-        _check_count("record_every", self.record_every)
-        if self.record_every < 1:
-            raise DomainError("record_every must be >= 1")
+        _check_count("record_every", self.record_every, 1)
 
 
 @dataclass
@@ -160,15 +158,9 @@ def domain_grid(wave: TravellingWave, n: int, domain) -> tuple:
     Circle(m): x0 = 0, dx = m*Xi/n and twist chirality*2*pi*m.  Segment:
     x0 = x_lo, dx = (x_hi - x_lo)/(n - 1) and the ends pinned to the wave.
     """
-    _check_count("grid size n", n)
-    if not 64 <= n <= MAX_GRID_POINTS:
-        raise DomainError(f"grid must have 64 <= n <= {MAX_GRID_POINTS} points, got {n}")
+    _check_count("grid size n", n, 64, MAX_GRID_POINTS)
     if isinstance(domain, Circle):
-        _check_count("circle winding m", domain.m)
-        if domain.m < 1:
-            raise DomainError("circle winding m must be >= 1")
-        if wave.params.gamma <= 1.0:
-            raise DomainError("circle domains need gamma > 1 (period undefined otherwise)")
+        _check_count("circle winding m", domain.m, 1, MAX_GRID_POINTS)  # no grid resolves more windings
         return 0.0, domain.m * xi_period(wave.params) / n, wave.chirality * TWO_PI * domain.m, None
     if isinstance(domain, Segment):
         if not (domain.x_hi > domain.x_lo and math.isfinite(domain.x_hi - domain.x_lo)):

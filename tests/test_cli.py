@@ -70,6 +70,13 @@ class TestConfigFile:
         settings = load_config(str(cfg))
         assert settings == {"alpha": "1.0", "gamma": "0.5", "branch": "constant_s"}
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # a UTF-8 file saved with a BOM read its first key as "\ufeffalpha", not a setting of period
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfalpha = 1\ngamma = 1.25\n")
+        assert main(["period", "--config", str(cfg)]) == EXIT_OK
+        assert float(printed(capsys.readouterr().out)["closed_form_period"]) == pytest.approx(8.377580409572783)
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha 1.0\n")
@@ -398,7 +405,8 @@ def refusal(name, *fields, marks=(), **named):
 EVAL = "eval --alpha 1 --gamma 0.5 --branch decreasing1 --out OUT"
 SIM64 = f"simulate {KINK} --n 64 --t-end 1 --out OUT"
 GRID = f"grid needs 0 < hi - lo < inf and 2 <= n <= {MAX_GRID_POINTS}, got "
-N = f"grid must have 64 <= n <= {MAX_GRID_POINTS} points, got "
+N = f"grid size n must be in [64, {MAX_GRID_POINTS}], got "
+M = f"circle winding m must be in [1, {MAX_GRID_POINTS}], got "
 T_END = "t_end must be positive with t_end/dt finite, got "
 EPS = "perturbation amplitude must be finite and >= 0: "
 STEP = "grid needs 0 < dt <= 0.9*dx with dt^2, dx^2 normal"
@@ -461,7 +469,9 @@ REFUSALS = [
     refusal("simulate-unused-mode-parsed", f"{SIM} --eps 0 --mode two", "setting 'mode': invalid literal for int()"),
     refusal("simulate-domain-torus", f"{SIM} --domain torus", "domain must be 'circle' or 'segment', got 'torus'"),
     refusal("simulate-probe-maybe", f"{SIM} --probe maybe", "setting 'probe': expected a boolean, got 'maybe'"),
-    refusal("simulate-m-0", f"{SIM} --m 0", "circle winding m must be >= 1"),
+    refusal("simulate-m-0", f"{SIM} --m 0", f"{M}0"),
+    # a winding past a double ended in an OverflowError traceback with exit 1
+    refusal("simulate-m-1e400", f"{SIM} --m 1{'0' * 400}", f"{M}1{'0' * 400}", fresh=True),
     # t_end/dt = inf used to reach math.ceil and end in an OverflowError traceback
     refusal("simulate-step-count-overflow", f"{SIM} --t-end 1e308", f"{T_END}1e+308/"),
     refusal("simulate-dx-squared-zero", f"{SIM64} --alpha 1e-300", STEP, fresh=True),  # divide-by-zero, then exit 3
@@ -469,7 +479,7 @@ REFUSALS = [
             "--x-lo 0 --x-hi 1e300 --t-end 1e299", STEP, fresh=True),  # "diverged" at the first step
     refusal("simulate-dt-squared-zero", f"{SIM64} --alpha 1 --dt 1e-300", STEP, fresh=True),  # 1e300 steps
     refusal("simulate-phi-xi0-1e7", f"{SIM64} --alpha 1 --xi0 1e7", PHI, fresh=True),  # |phi| ~ 1.1e7: "diverged"
-    refusal("simulate-phi-m-1e9", f"{SIM64} --alpha 1 --m 1000000000", PHI, fresh=True),  # |phi| ~ 6e9: "diverged"
+    refusal("simulate-phi-m-1e6", f"{SIM64} --alpha 1 --m 1000000", PHI, fresh=True),  # |phi| ~ 6.3e6: "diverged"
     refusal("simulate-phi-xi0-1e300", f"{SIM64} --alpha 1 --xi0 1e300", PHI, fresh=True),  # the guard's dot overflowed
     # dt <= 0.9*dx is the one rule: a dt one ulp above it, and the removed cfl_guard
     # setting as a flag or a config key, each exit 2

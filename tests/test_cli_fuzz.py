@@ -23,7 +23,7 @@ from sgwaves.closed_form import WaveBranch
 
 FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "-0.0", "5e-324", "0", "-1", str(2**63),
           "0.5", "1", "1.5"]
-INTS = ["0", "-1", str(2**63), "1", "2"]
+INTS = ["0", "-1", str(2**63), str(10**400), "1", "2"]
 # value pools by parser, or by name for the plain-string settings
 POOLS = {
     float: FLOATS,
@@ -102,6 +102,11 @@ def cheap_oracles(monkeypatch):
                              grid="0:1e308:4", out="file")))
 @example(line=("simulate", flags(alpha="1e308", gamma="1.5", branch="kink_array", n="64", t_end="1",
                                  out="file")))
+# a count past a double ended in an OverflowError
+@example(line=("simulate", flags(alpha="1", gamma="1.5", branch="kink_array", n="64", t_end="1", m=str(10**400),
+                                 out="file")))
+@example(line=("simulate", flags(alpha="1", gamma="1.5", branch="kink_array", n="64", t_end="1", eps="1e-3",
+                                 mode=str(10**400), out="file")))
 def test_every_command_line_ends_in_an_exit_code(tmp_path, capsys, cheap_oracles, line):
     command, values = line
     for path in tmp_path.glob("*.csv"):

@@ -96,7 +96,8 @@ PERIOD = "period needs gamma > 1 and a finite, positive value"
 NO_PHASE = "y has no phase left at some xi on branch kink_array"
 INTERVAL = "integration interval needs a < b within +-"
 RATE = "moves the state more than 1 per RK4 step"
-GRID = f"grid must have 64 <= n <= {pde_sim.MAX_GRID_POINTS} points, got "
+CAP = pde_sim.MAX_GRID_POINTS  # the most grid points, windings m and modes
+GRID = f"grid size n must be in [64, {CAP}], got "
 STEP = "grid needs 0 < dt <= 0.9*dx with dt^2, dx^2 normal"
 T_END = "t_end must be positive with t_end/dt finite, got "
 PHI = "initial |phi| exceeds 1e+06: shift xi0 by whole periods"
@@ -235,8 +236,9 @@ REFUSALS = [
       for g_from, g_to in [(math.nan, 1.0), (1.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)]),
     *(refusal(f"implicit-xi-singular-at-{g_to:.4f}", partial(implicit_xi_of_g, HALF, 0.0, g_to, 1e-10), DomainError,
               "gamma - sin(s) vanishes on the integration path") for g_to in [math.pi / 6, math.pi]),
+    # theta's rule: identities_check takes theta(gamma) first
     *(refusal(f"identities-{gamma}", partial(identities_check, gamma), DomainError,
-              f"identities defined for 0 <= gamma <= 1, got {gamma}") for gamma in [1.5, -0.2]),
+              f"theta requires 0 <= gamma <= 1, got {gamma}") for gamma in [1.5, -0.2]),
     # oracles: field-equation residual
     *(refusal(f"residual-step-{h}", partial(built, pde_residual, kink, 0.0, 0.0, h), DomainError,
               f"h must be positive and finite, got {h}") for h in [0.0, -1e-3, math.inf, math.nan]),
@@ -255,7 +257,10 @@ REFUSALS = [
     *(refusal(f"amplitude-{amplitude}", partial(Perturbation, amplitude, 1), DomainError,
               f"perturbation amplitude must be finite and >= 0: {amplitude}")
       for amplitude in [-1.0, math.nan, math.inf]),
-    refusal("mode-0", partial(Perturbation, 1e-3, 0), DomainError, "perturbation mode number must be >= 1"),
+    # CAP + 1 ran aliased on every grid; 10**400 ended in an OverflowError in evolve's kick profile
+    *(refusal(f"mode-{name}", partial(Perturbation, 1e-3, mode), DomainError,
+              f"perturbation mode number must be in [1, {CAP}], got {mode}")
+      for name, mode in [("0", 0), ("over-cap", CAP + 1), ("1e400", 10**400)]),
     # a count must be a whole number: mode inf warned in sin and mode nan made the field NaN, read as a blow-up
     *(refusal(f"mode-{mode}", partial(Perturbation, 1e-3, mode), DomainError,
               f"perturbation mode number must be a whole number, got {mode}") for mode in [1.5, math.inf, math.nan]),
@@ -265,7 +270,7 @@ REFUSALS = [
     # math.ceil(inf) used to raise OverflowError inside evolve
     refusal("config-step-count-overflows", partial(SimConfig, dt=1e-3, t_end=1e308), DomainError, f"{T_END}1e+308/"),
     refusal("config-record-every-0", partial(SimConfig, dt=0.1, t_end=1.0, record_every=0), DomainError,
-            "record_every must be >= 1"),
+            "record_every must be in [1, inf], got 0"),
     # each was a TypeError in evolve's range()
     *(refusal(f"config-record-every-{every}", partial(SimConfig, dt=0.1, t_end=1.0, record_every=every), DomainError,
               f"record_every must be a whole number, got {every}") for every in [1.5, math.inf, math.nan]),
@@ -278,12 +283,16 @@ REFUSALS = [
     *(refusal(f"grid-n-over-cap-{type(domain).__name__}", partial(built, pde_sim.domain_grid, kink, n, domain),
               DomainError, f"{GRID}{n}") for n in [pde_sim.MAX_GRID_POINTS + 1] for domain in [Circle(1), SEGMENT]),
     *(refusal(f"circle-m-{m}", partial(built, pde_sim.domain_grid, kink, 64, Circle(m)), DomainError,
-              "circle winding m must be >= 1") for m in [0, -1]),
+              f"circle winding m must be in [1, {CAP}], got {m}") for m in [0, -1]),
+    # Circle(10**400) ended in an OverflowError in m*Xi; CAP + 1 windings reached the |phi| rule
+    *(refusal(f"circle-m-{name}", lambda m=m: init_from_wave(kink(), 64, Circle(m)), DomainError,
+              f"circle winding m must be in [1, {CAP}], got {m}")
+      for name, m in [("over-cap", CAP + 1), ("1e400", 10**400)]),
     # Circle(1.5) twisted by 3*pi, half a kink
     refusal("circle-m-1.5", lambda: init_from_wave(kink(), 64, Circle(1.5)), DomainError,
             "circle winding m must be a whole number, got 1.5"),
-    refusal("circle-subcritical", lambda: init_from_wave(front(), 128, Circle(1)), DomainError,
-            "circle domains need gamma > 1 (period undefined otherwise)"),
+    # xi_period's rule: a circle is m periods long
+    refusal("circle-subcritical", lambda: init_from_wave(front(), 128, Circle(1)), DomainError, PERIOD),
     # an infinite or overflowing x_hi - x_lo used to give a grid of NaN points
     *(refusal(f"segment-{x_lo}-{x_hi}", partial(built, init_from_wave, front, 64, Segment(x_lo, x_hi)), DomainError,
               f"segment needs finite x_lo < x_hi, got Segment(x_lo={x_lo}")
@@ -308,9 +317,10 @@ REFUSALS = [
     *(refusal(f"spacing-{use}-one-ulp-above", partial(built, call, lambda: replace(front_grid(), dt=ABOVE),
               FRONT_PARAMS), DomainError, STEP) for use, call in USES.items()),
     refusal("spacing-step-dt-nan", lambda: step(uniform_state(math.nan), HALF, math.nan), DomainError, STEP),
-    # |phi| ~ 1.1e7 at xi0 = 1e7 passed, then diverged in the first steps
+    # |phi| ~ 1.1e7 at xi0 = 1e7 passed, then diverged in the first steps.  10**6 windings reach
+    # |phi| ~ 6.3e6 and stay under the winding cap
     *(refusal(f"initial-phi-xi0-{xi0:g}-m-{m}", partial(built, init_from_wave, partial(kink, xi0), 64, Circle(m)),
-              DomainError, PHI) for xi0, m in [(1e7, 1), (-1e7, 1), (1e300, 1), (0.0, 10**9)]),
+              DomainError, PHI) for xi0, m in [(1e7, 1), (-1e7, 1), (1e300, 1), (0.0, 10**6)]),
     *(refusal(f"{name}-dt-mismatch", call, DomainError, "dt must match the state's leapfrog spacing")
       for name, call in [("step", lambda: step(uniform_state(), HALF, 0.045)),
                          ("evolve", lambda: evolve(uniform_state(), HALF, SimConfig(dt=0.045, t_end=1.0)))]),
