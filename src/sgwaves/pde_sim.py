@@ -51,11 +51,12 @@ NUMBER_FORMAT = "{:.17g}"  # every number sgwaves writes: 17 significant digits 
 def _check_count(name: str, value, lo: int, hi: float = math.inf) -> None:
     """A count is a whole number from lo to hi: an int or a numpy integer, never a float (NaN and inf too)."""
     try:
-        operator.index(value)
+        bits = operator.index(value).bit_length()
     except TypeError:
         raise DomainError(f"{name} must be a whole number, got {value!r}") from None
     if not lo <= value <= hi:
-        raise DomainError(f"{name} must be in [{lo}, {hi}], got {value}")
+        got = value if bits <= 2048 else f"a {bits}-bit integer"  # at most 617 digits: any int-to-str limit prints it
+        raise DomainError(f"{name} must be in [{lo}, {hi}], got {got}")
 
 
 @dataclass(frozen=True)

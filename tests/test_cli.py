@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sgwaves
-from sgwaves import DomainError, F_map, ModelParams, TravellingWave, WaveBranch, pde_sim
+from sgwaves import DomainError, F_map, ModelParams, TravellingWave, WaveBranch, closed_form, pde_sim
 from sgwaves.cli import (
     EXIT_DIVERGED,
     EXIT_INVALID,
@@ -210,11 +210,23 @@ class TestVerify:
             assert float(values[name]) == worst()
             assert float(values[f"{name}_threshold"]) == threshold
 
-    def test_fault_injection_fails(self, capsys):
-        code = main(["verify", "--corrupt-gamma-sign"])
-        assert code == EXIT_VERIFY_FAILED
+    def test_fails_on_a_flipped_fixed_point(self, monkeypatch, capsys):
+        # a forcing sign flipped in the fixed-point formula (y_- at -gamma is -y_-), reached only
+        # through the library's own calls: identities_check reads constant_y_value, which calls it
+        fixed_points = closed_form.y_fixed_points
+
+        def flipped(params):
+            fp = fixed_points(params)
+            return closed_form.FixedPoints(fp.y_plus, -fp.y_minus)
+
+        monkeypatch.setattr(closed_form, "y_fixed_points", flipped)
+        assert main(["verify"]) == EXIT_VERIFY_FAILED
         values = printed(capsys.readouterr().out)
         assert (values["status"], values["worst_offender"]) == ("fail", "identity_max_residual")
+        failed = {name: float(values[name]) for name in CHECKS
+                  if not float(values[name]) < float(values[f"{name}_threshold"])}
+        assert failed == pytest.approx({"identity_max_residual": 400.0, "ode_oracle_sup_diff": math.pi / 3,
+                                        "pde_max_residual": 1.0, "ode_max_residual": 1.0}, rel=1e-3)
 
 
 class TestSimulate:
@@ -467,6 +479,7 @@ REFUSALS = [
     refusal("simulate-eps-inf", f"{SIM} --eps inf --mode 2", f"{EPS}inf"),
     # with eps 0 the mode was never read, and a bad one went unnoticed
     refusal("simulate-unused-mode-parsed", f"{SIM} --eps 0 --mode two", "setting 'mode': invalid literal for int()"),
+    refusal("simulate-unused-mode-range", f"{SIM} --eps 0 --mode 0", "perturbation mode number must be in [1, "),
     refusal("simulate-domain-torus", f"{SIM} --domain torus", "domain must be 'circle' or 'segment', got 'torus'"),
     refusal("simulate-probe-maybe", f"{SIM} --probe maybe", "setting 'probe': expected a boolean, got 'maybe'"),
     refusal("simulate-m-0", f"{SIM} --m 0", f"{M}0"),
@@ -487,6 +500,9 @@ REFUSALS = [
     refusal("simulate-cfl-guard-flag", f"{SIM64} --cfl-guard 0.5", "unrecognized arguments: --cfl-guard", fresh=True),
     refusal("simulate-cfl-guard-key", f"{SIM64} --config CFG", "run.cfg: not a setting of simulate: cfl_guard",
             b"cfl_guard = 0.5\n", fresh=True),
+    # verify's fault-injection flag is gone: a real fault shows verify failing (TestVerify)
+    refusal("verify-corrupt-gamma-sign-flag", "verify --corrupt-gamma-sign",
+            "unrecognized arguments: --corrupt-gamma-sign", fresh=True),
 ]
 
 

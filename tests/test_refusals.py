@@ -261,6 +261,9 @@ REFUSALS = [
     *(refusal(f"mode-{name}", partial(Perturbation, 1e-3, mode), DomainError,
               f"perturbation mode number must be in [1, {CAP}], got {mode}")
       for name, mode in [("0", 0), ("over-cap", CAP + 1), ("1e400", 10**400)]),
+    # 10**5000 has too many digits for str(): the range message itself was a ValueError
+    refusal("mode-1e5000", partial(Perturbation, 1e-3, 10**5000), DomainError,
+            f"perturbation mode number must be in [1, {CAP}], got a 16610-bit integer"),
     # a count must be a whole number: mode inf warned in sin and mode nan made the field NaN, read as a blow-up
     *(refusal(f"mode-{mode}", partial(Perturbation, 1e-3, mode), DomainError,
               f"perturbation mode number must be a whole number, got {mode}") for mode in [1.5, math.inf, math.nan]),
@@ -288,6 +291,8 @@ REFUSALS = [
     *(refusal(f"circle-m-{name}", lambda m=m: init_from_wave(kink(), 64, Circle(m)), DomainError,
               f"circle winding m must be in [1, {CAP}], got {m}")
       for name, m in [("over-cap", CAP + 1), ("1e400", 10**400)]),
+    refusal("circle-m-1e5000", lambda: init_from_wave(kink(), 64, Circle(10**5000)), DomainError,
+            f"circle winding m must be in [1, {CAP}], got a 16610-bit integer"),
     # Circle(1.5) twisted by 3*pi, half a kink
     refusal("circle-m-1.5", lambda: init_from_wave(kink(), 64, Circle(1.5)), DomainError,
             "circle winding m must be a whole number, got 1.5"),
