@@ -158,7 +158,7 @@ def _wave(settings: _Settings) -> TravellingWave:
     return TravellingWave(params, settings["branch"], settings["xi0"], settings["chirality"])
 
 
-def cmd_eval(settings: _Settings) -> int:
+def cmd_eval(settings: _Settings, args: argparse.Namespace) -> int:
     """Tabulate xi,y,F,g,phi along a xi grid into a CSV file."""
     wave = _wave(settings)
     xs = settings["grid"]
@@ -175,7 +175,7 @@ def cmd_eval(settings: _Settings) -> int:
     return EXIT_OK
 
 
-def cmd_period(settings: _Settings) -> int:
+def cmd_period(settings: _Settings, args: argparse.Namespace) -> int:
     """Print the closed-form period, the quadrature period and their difference."""
     params = ModelParams(settings["alpha"], settings["gamma"])
     closed = closed_form.xi_period(params)
@@ -186,7 +186,7 @@ def cmd_period(settings: _Settings) -> int:
     return EXIT_OK
 
 
-def cmd_limits(settings: _Settings) -> int:
+def cmd_limits(settings: _Settings, args: argparse.Namespace) -> int:
     """Print the asymptotic g and phi values of a non-periodic branch."""
     wave = _wave(settings)
     g_lo, g_hi = closed_form.g_limits(wave)
@@ -198,12 +198,17 @@ def cmd_limits(settings: _Settings) -> int:
     return EXIT_OK
 
 
-def cmd_verify(settings: _Settings) -> int:
+def cmd_verify(settings: _Settings, args: argparse.Namespace) -> int:
     """Run the oracle check table `oracles.CHECKS` and report pass/fail per check."""
     lines = []
     failures = []
     for name, (threshold, worst) in oracles.CHECKS.items():
         value = worst()
+        if name == "identity_max_residual" and args.corrupt_gamma_sign:
+            # fault-injection hook, run by bench/test_bench.py: flip the forcing sign inside the fixed-point
+            # formula (y_- at -gamma is -y_-) and fold the (large) residual into the identity check
+            y_bad = -closed_form.y_fixed_points(ModelParams(1.0, 0.5)).y_minus
+            value = max(value, abs(closed_form.F_map(y_bad) - math.tan(closed_form.theta(0.5))))
         lines.append(f"{name} = {_fmt(value)}")
         lines.append(f"{name}_threshold = {_fmt(threshold)}")
         if not value < threshold:
@@ -220,7 +225,7 @@ def cmd_verify(settings: _Settings) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
-def cmd_simulate(settings: _Settings) -> int:
+def cmd_simulate(settings: _Settings, args: argparse.Namespace) -> int:
     """Initialize a wave on a domain, evolve it and write the CSV outputs."""
     wave = _wave(settings)
     out = settings["out"]
@@ -254,7 +259,7 @@ def cmd_simulate(settings: _Settings) -> int:
 
 _WAVE = ("alpha", "gamma", "branch", "xi0", "chirality")
 
-# command: (handler(settings), help, names of its settings)
+# command: (handler(settings, args), help, names of its settings)
 COMMANDS = {
     "eval": (cmd_eval, "tabulate xi,y,F,g,phi over a xi grid", _WAVE + ("grid", "out")),
     "period": (cmd_period, "closed-form vs quadrature period", ("alpha", "gamma", "tol")),
@@ -280,6 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             # values stay strings: config values need the same parsing, in _settings
             p.add_argument("--" + name.replace("_", "-"), help=SETTINGS[name][2])
+        if command == "verify":
+            p.add_argument("--corrupt-gamma-sign", action="store_true",
+                           help="fault-injection hook: corrupt the forcing sign")
     return parser
 
 
@@ -299,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return COMMANDS[args.command][0](_settings(args))
+        return COMMANDS[args.command][0](_settings(args), args)
     except BlowUp as exc:
         log.error("simulation diverged: %s", exc)
         return EXIT_DIVERGED

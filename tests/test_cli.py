@@ -210,6 +210,12 @@ class TestVerify:
             assert float(values[name]) == worst()
             assert float(values[f"{name}_threshold"]) == threshold
 
+    def test_fault_injection_fails(self, capsys):
+        code = main(["verify", "--corrupt-gamma-sign"])
+        assert code == EXIT_VERIFY_FAILED
+        values = printed(capsys.readouterr().out)
+        assert (values["status"], values["worst_offender"]) == ("fail", "identity_max_residual")
+
     def test_fails_on_a_flipped_fixed_point(self, monkeypatch, capsys):
         # a forcing sign flipped in the fixed-point formula (y_- at -gamma is -y_-), reached only
         # through the library's own calls: identities_check reads constant_y_value, which calls it
@@ -500,9 +506,6 @@ REFUSALS = [
     refusal("simulate-cfl-guard-flag", f"{SIM64} --cfl-guard 0.5", "unrecognized arguments: --cfl-guard", fresh=True),
     refusal("simulate-cfl-guard-key", f"{SIM64} --config CFG", "run.cfg: not a setting of simulate: cfl_guard",
             b"cfl_guard = 0.5\n", fresh=True),
-    # verify's fault-injection flag is gone: a real fault shows verify failing (TestVerify)
-    refusal("verify-corrupt-gamma-sign-flag", "verify --corrupt-gamma-sign",
-            "unrecognized arguments: --corrupt-gamma-sign", fresh=True),
 ]
 
 

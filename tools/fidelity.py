@@ -35,8 +35,9 @@ It covers:
 * `cli/...`: stdout and every file written by `eval` on all eight branches
   (the README grid, and grids through the poles), by four `simulate` runs
   (README's, a pinned segment, a diverging probe and a record every step),
-  by `verify`, and by `period` and `limits` (a run whose exit code is
-  not EXIT_OK fails the digest run);
+  by `verify` with and without `--corrupt-gamma-sign`, and by `period`
+  and `limits` (a run whose exit code is not EXIT_OK, or EXIT_VERIFY_FAILED
+  for the corrupted `verify`, fails the digest run);
 * `closed_form/...`: g_eval, y_eval and phi_eval tables, extreme arguments
   included;
 * `sweep/...`: SWEEP seeded `ode_solve_g`/`ode_solve_y` solves (xs, ys,
@@ -128,7 +129,7 @@ def column_differences(base: dict, change: dict) -> list[str]:
 
 
 def cli_digests(out: dict, columns: dict, work: Path) -> list[str]:
-    """Digest every CLI run; return a line for each run whose exit code is not EXIT_OK."""
+    """Digest every CLI run; return a line for each run whose exit code is not the one it should give."""
     from sgwaves import cli
     pi = repr(math.pi)
     evals = {  # branch: (alpha, gamma, grids through its poles)
@@ -155,8 +156,10 @@ def cli_digests(out: dict, columns: dict, work: Path) -> list[str]:
     runs["simulate one-level"] = ("simulate --alpha 1 --gamma 1.5 --branch kink_array --domain circle --m 1 "
                                   f"--n 256 --t-end 2 --record-every 1 --eps 1e-3 --mode 1 {files}")
     runs["verify"] = "verify"
+    runs["verify corrupt"] = "verify --corrupt-gamma-sign"
     runs["period"] = "period --alpha 1 --gamma 1.25"
     runs["limits"] = f"limits --alpha 1 --gamma 0.5 --branch decreasing1 --xi0 {pi}"
+    faults = {"verify corrupt": cli.EXIT_VERIFY_FAILED}  # every other run exits EXIT_OK
     wrong = []
     for name, argv in runs.items():
         for path in work.iterdir():
@@ -167,8 +170,8 @@ def cli_digests(out: dict, columns: dict, work: Path) -> list[str]:
         files = [(path.name, path.read_bytes()) for path in sorted(work.iterdir())]
         out[f"cli/{name}"] = digest(code, stdout.getvalue(), files)
         columns[f"cli/{name}"] = numeric_columns(stdout.getvalue(), files)
-        if code != cli.EXIT_OK:
-            wrong.append(f"cli/{name} exited {code}, not {cli.EXIT_OK}")
+        if code != faults.get(name, cli.EXIT_OK):
+            wrong.append(f"cli/{name} exited {code}, not {faults.get(name, cli.EXIT_OK)}")
     return wrong
 
 
