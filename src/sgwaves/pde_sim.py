@@ -380,24 +380,26 @@ def evolve(state: FieldState, params: ModelParams, config: SimConfig,
     return report
 
 
-@np.errstate(invalid="ignore")  # a non-finite field (inf - inf) gives a nan or inf distance, not a warning
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite or huge field gives a nan or inf distance, no warning
 def comoving_deviation(state: FieldState, reference: TravellingWave) -> tuple[float, float]:
     """(RMS distance, shift) to the reference wave, minimized over translation.
 
-    Scans n candidate shifts one grid spacing apart, then refines the
-    minimum with a 3-point parabola through the squared distances.  The
-    points x_i - s_j take only 2n - 1 values, so the scan makes O(n)
-    closed-form evaluations and O(n*block) memory.  On a twisted circle a
-    shift wrapped by k*L meets the reference plus k*twist, so every
-    candidate is compared modulo the twist.
+    Scans n candidate shifts one grid spacing apart, then refines the minimum with a 3-point
+    parabola through the squared distances.  The points x_i - s_j take only 2n - 1 values, so the
+    scan makes O(n) closed-form evaluations.  On a twisted circle a shift wrapped by k*L meets the
+    reference plus k*twist, so every candidate is compared modulo the twist.  Two passes give the
+    doubles of the full n x n scan by `_mean_square_mod_twist` in O(n) memory: `_shift_candidates`
+    bounds every shift's squared distance from one np.correlate and keeps the rows that may hold
+    the scan's first minimum, or neighbour it; the exact pass runs on those rows alone, in blocks
+    of _SCAN_BLOCK_POINTS.
     """
     n, twist = state.n, state.twist
-    points = state.x0 + state.dx * np.arange(n // 2 - n + 1, n // 2 + n)
+    ref = np.asarray(phi_eval(reference, state.x0 + state.dx * np.arange(n // 2 - n + 1, n // 2 + n), state.t))
     # row j holds the reference at x_i - s_j, with shift s_j = (j - n//2)*dx
-    rows = sliding_window_view(np.asarray(phi_eval(reference, points, state.t)), n)[::-1]
-    block = max(1, _SCAN_BLOCK_POINTS // n)
-    d2 = np.concatenate([_mean_square_mod_twist(state.phi, rows[j:j + block], twist)
-                         for j in range(0, n, block)])
+    rows, d2 = sliding_window_view(ref, n)[::-1], np.full(n, np.inf)
+    kept, block = np.flatnonzero(_shift_candidates(state.phi, ref, twist)), max(1, _SCAN_BLOCK_POINTS // n)
+    for part in (kept[lo:lo + block] for lo in range(0, kept.size, block)):
+        d2[part] = _mean_square_mod_twist(state.phi, rows[part], twist)
     j = int(np.argmin(d2))
     s_best = (j - n // 2) * state.dx
     if state.pinned is not None and j in (0, n - 1):
@@ -414,6 +416,44 @@ def comoving_deviation(state: FieldState, reference: TravellingWave) -> tuple[fl
     return float(math.sqrt(d2[j])), s_best
 
 
+def _shift_candidates(phi: np.ndarray, ref: np.ndarray, twist: float) -> np.ndarray:
+    """A mask of the scan rows that may hold its first minimum, and of their ring neighbours.
+
+    Less the trend twist/n per grid step plus phi[0], phi and ref are phi_d and ref_d, at most amp in
+    size; row j's difference is y + e_j, y = phi_d - ref_d[n-1-j:2n-1-j], e_j = (twist/n)*(j - n//2)
+    - k_j*twist, |e_j| <= 2*amp + |twist|, within h per point of the exact pass's.  With gamma_k =
+    k*u/(1 - k*u), u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), the coarse
+    d2_j = mean(y**2) + e_j*(2*mean(y) + e_j) is within 12*gamma_{2n+1}*(amp + |e_j|)**2 of exact, the
+    exact pass's mean of squares within gamma_{n+1}: so that pass's d2_j is within B_j of the coarse
+    one, and a row whose d2_j - B_j exceeds some d2_i + B_i is not the minimum.  A row whose k_j is
+    within its error of a half-integer is kept, and every row if a value is not finite or may overflow.
+    """
+    n, gamma = phi.size, (lambda k: k / (2.0**53 - k))  # gamma_k = k*u/(1 - k*u)
+    sums = np.zeros(2 * n)  # sums[i]: the sum of a vector's first i points
+    window_sums = (lambda v: (np.cumsum(v, out=sums[1:])[n - 1:] - sums[:n])[::-1])  # over v[n-1-j:2n-1-j]
+    trend = np.arange(n // 2 - n + 1, n // 2 + n) * (twist / n) + phi[0]
+    phi_d = phi - trend[n - 1 - n // 2:2 * n - 1 - n // 2]
+    ref_d = np.subtract(ref, trend, out=trend)
+    amp = max(np.abs(phi_d).max(), np.abs(ref_d).max())
+    s, d2 = amp + abs(twist) + abs(phi[0]), -2.0 * np.correlate(ref_d, phi_d, "valid")[::-1]
+    mean = np.subtract(phi_d.sum(), window_sums(ref_d)) / n
+    d2 = (d2 + window_sums(np.square(ref_d, out=ref_d)) + np.dot(phi_d, phi_d)) / n
+    h, ambiguous = 24.0 * gamma(2) * s, np.False_
+    if twist:  # k_j as the exact pass takes it, rint(mean(diff)/twist), with its error delta
+        delta, e = 16.0 * gamma(2 * n + 1) * s + h, np.arange(-(n // 2), n - n // 2) * (twist / n)
+        k = mean + e  # row j's mean difference; k_j = rint(k/twist)
+        ambiguous = np.rint((k - delta) / twist) != np.rint((k + delta) / twist)
+        e -= np.rint(np.divide(k, twist, out=k), out=k) * twist
+        d2 += e * (2.0 * mean + e)
+    # B_j: the coarse error, the points' h against an rms of y + e_j up to r, and the exact pass's own
+    coarse, r = 12.0 * gamma(2 * n + 1) * (3.0 * amp + abs(twist)) ** 2, 4.0 * amp + abs(twist) + h
+    bound = 3.0 * gamma(n + 1) * np.abs(d2) + (coarse + h * (2.0 * r + h) + 2.0 * gamma(n + 1) * (coarse + h * h))
+    finite = math.isfinite(d2.sum() + 100.0 * n * s * s)  # the exact pass's sum of squares is below n*(9*s)**2
+    keep = ambiguous | (d2 - bound <= np.where(ambiguous, np.inf, d2 + bound).min()) | (not finite)
+    keep = np.concatenate((keep[-1:], keep, keep[:1]))
+    return keep[:-2] | keep[1:-1] | keep[2:]
+
+
 def _mean_square_mod_twist(phi: np.ndarray, ref: np.ndarray, twist: float) -> np.ndarray:
     """Mean of (phi - ref - k*twist)**2 along the last axis, k = round(mean(phi - ref)/twist)."""
     diff = phi - ref
@@ -422,7 +462,7 @@ def _mean_square_mod_twist(phi: np.ndarray, ref: np.ndarray, twist: float) -> np
     return np.mean(np.square(diff, out=diff), axis=-1)
 
 
-@np.errstate(invalid="ignore")  # a non-finite field (cos(inf)) gives nan, not a warning
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite or huge field gives nan or inf, not a warning
 def total_energy(state: FieldState, params: ModelParams) -> float:
     """Trapezoidal integral of the energy density over the grid.
 

@@ -8,6 +8,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -633,6 +634,85 @@ def test_divergence(row, kernels, tmp_path):
     assert np.array_equal(fresh.derivatives()[0], phi_t, equal_nan=True)
 
 
+def mean_square_mod_twist(phi, ref, twist):
+    diff = phi - ref
+    if twist:
+        diff -= twist * np.rint(np.mean(diff, axis=-1, keepdims=True) / twist)
+    return np.mean(np.square(diff, out=diff), axis=-1)
+
+
+@np.errstate(invalid="ignore")
+def reference_comoving_deviation(state, reference):
+    """The full n x n shift scan, verbatim as it stood before the two-pass scan: every squared
+    distance formed, _SCAN_BLOCK_POINTS at a time.  comoving_deviation must return its doubles."""
+    n, twist = state.n, state.twist
+    points = state.x0 + state.dx * np.arange(n // 2 - n + 1, n // 2 + n)
+    # row j holds the reference at x_i - s_j, with shift s_j = (j - n//2)*dx
+    rows = sliding_window_view(np.asarray(phi_eval(reference, points, state.t)), n)[::-1]
+    block = max(1, pde_sim._SCAN_BLOCK_POINTS // n)
+    d2 = np.concatenate([mean_square_mod_twist(state.phi, rows[j:j + block], twist)
+                         for j in range(0, n, block)])
+    j = int(np.argmin(d2))
+    s_best = (j - n // 2) * state.dx
+    if state.pinned is not None and j in (0, n - 1):
+        return float(math.sqrt(d2[j])), s_best
+    jm, jp = (j - 1) % n, (j + 1) % n
+    denom = d2[jm] - 2.0 * d2[j] + d2[jp]
+    if denom > 0.0 and math.isfinite(denom):
+        offset = 0.5 * state.dx * float(d2[jm] - d2[jp]) / float(denom)
+        s_ref = s_best + max(-state.dx, min(state.dx, offset))
+        ref = phi_eval(reference, state.x - s_ref, state.t)
+        d2_ref = float(mean_square_mod_twist(state.phi, ref, twist))
+        if d2_ref <= d2[j]:
+            return math.sqrt(d2_ref), s_ref
+    return float(math.sqrt(d2[j])), s_best
+
+
+def assert_scan_is_the_full_scan(state, wave):
+    got, expected = comoving_deviation(state, wave), reference_comoving_deviation(state, wave)
+    assert np.array_equal(got, expected, equal_nan=True), (got, expected)
+    return got
+
+
+@st.composite
+def scan_states(draw):
+    """A kicked wave, stepped 0 to 400 times: kink arrays on Circle(1..3) of either chirality, fronts
+    and the critical kink on pinned segments; n from 64 to 4096, kicks from 1e-4 to 1e-2."""
+    alpha, xi0 = draw(st.floats(0.3, 2.0)), draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        wave = TravellingWave(ModelParams(alpha, draw(st.floats(1.05, 3.0))), WaveBranch.KINK_ARRAY, xi0,
+                              draw(chiralities))
+        domain = Circle(draw(st.integers(1, 3)))
+    else:
+        branch = draw(st.sampled_from([WaveBranch.INCREASING2, WaveBranch.DECREASING1, WaveBranch.CRITICAL_KINK]))
+        gamma = 1.0 if branch is WaveBranch.CRITICAL_KINK else draw(st.floats(0.1, 0.95))
+        wave = TravellingWave(ModelParams(alpha, gamma), branch, xi0)
+        half = draw(st.floats(10.0, 40.0)) / (alpha if gamma == 1.0 else subcritical_rate(wave.params))
+        domain = Segment(-half, half)
+    state = init_from_wave(wave, int(2.0 ** draw(st.floats(6.0, 12.0))), domain)
+    kick = pde_sim._perturbation_profile(state, Perturbation(10.0 ** draw(st.floats(-4.0, -2.0)),
+                                                             draw(st.integers(1, 4))))
+    state = replace(state, phi=state.phi + kick, phi_prev=state.phi_prev + kick)
+    steps = draw(st.integers(0, 400))
+    if steps:
+        config = SimConfig(dt=state.dt, t_end=steps * state.dt, record_every=steps, probe=True)
+        state = evolve(state, wave.params, config).final_state
+    return wave, state
+
+
+def pinned_probe_records(monkeypatch):
+    """(wave, state) at each record of CI's pinned probe: simulate --alpha 0.5 --gamma 0.5 --branch
+    increasing2 --domain segment --x-lo=-23.1 --x-hi 23.1 --n 256 --t-end 25 --record-every 20
+    --eps 1e-3 --mode 1 --probe true."""
+    wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.INCREASING2)
+    state, records = init_from_wave(wave, 256, Segment(-23.1, 23.1)), []
+    monkeypatch.setattr(pde_sim, "comoving_deviation", lambda level, reference: records.append(level) or (0.0, 0.0))
+    config = SimConfig(dt=state.dt, t_end=25.0, record_every=20, perturbation=Perturbation(1e-3, 1), probe=True)
+    assert evolve(state, wave.params, config, wave).diverged_at is None
+    monkeypatch.undo()
+    return wave, records
+
+
 class TestComovingDeviation:
     def test_self_distance_zero(self):
         wave = kink_array_wave()
@@ -699,7 +779,70 @@ class TestComovingDeviation:
         finally:
             tracemalloc.stop()
         assert deviation < 1e-12
-        assert peak < 64 * 2**20  # an n x n scan would need 2 GiB here
+        assert peak < 16 * 2**20  # an n x n scan would need 2 GiB here
+
+    def test_one_record_at_n256_needs_no_n_by_n_block(self):
+        # the full scan's 256 x 256 block alone is 0.5 MB
+        wave, state = kicked_kink_array(0.5, 1.5)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            comoving_deviation(state, wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * 2**20
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=100)
+    @given(case=scan_states())
+    def test_returns_the_full_scans_doubles(self, case):
+        assert_scan_is_the_full_scan(case[1], case[0])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("chirality", [1, -1])
+    def test_kicked_kink_array_on_every_ring(self, m, chirality):
+        wave = TravellingWave(ModelParams(0.8, 1.3), WaveBranch.KINK_ARRAY, 0.4, chirality)
+        state = rippled(init_from_wave(wave, 300, Circle(m)))
+        config = SimConfig(dt=state.dt, t_end=50 * state.dt, record_every=50)
+        assert_scan_is_the_full_scan(evolve(state, wave.params, config).final_state, wave)
+
+    def test_every_record_of_the_pinned_probe(self, monkeypatch):
+        wave, records = pinned_probe_records(monkeypatch)
+        assert len(records) == 9
+        results = [assert_scan_is_the_full_scan(level, wave) for level in records]
+        # the last record's minimum is flat: 57 rows within 1e-12 of it, and rounding picks the shift
+        assert results[-1][1] == 19.476470588235294
+        last, n = records[-1], records[-1].n
+        ref = np.asarray(phi_eval(wave, last.x0 + last.dx * np.arange(n // 2 - n + 1, n // 2 + n), last.t))
+        d2 = mean_square_mod_twist(last.phi, sliding_window_view(ref, n)[::-1], 0.0)
+        tied = d2 <= d2.min() * (1.0 + 1e-12)
+        assert tied.sum() == 57 and np.all(pde_sim._shift_candidates(last.phi, ref, 0.0)[tied])
+
+    def test_constant_reference_ties_every_row(self):
+        # the constant branch is the same at every shift, so the first row is the full scan's pick
+        params = ModelParams(0.5, 0.5)
+        state = rippled(init_from_wave(TravellingWave(params, WaveBranch.INCREASING2), 256, Segment(-20.0, 20.0)))
+        wave = TravellingWave(params, WaveBranch.CONSTANT_S)
+        assert assert_scan_is_the_full_scan(state, wave)[1] == -128 * state.dx
+
+    def test_wave_translated_past_half_the_ring(self):
+        wave = TravellingWave(ModelParams(0.5, 1.5), WaveBranch.KINK_ARRAY, 0.2, -1)
+        state = init_from_wave(wave, 256, Circle(2))
+        moved = replace(state, phi=np.asarray(phi_eval(wave, state.x - 0.51 * state.length, 0.0)))
+        assert_scan_is_the_full_scan(moved, wave)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=100)
+    @given(alpha=st.floats(0.3, 2.0), gamma=st.floats(1.2, 3.0), xi0=st.floats(-3.0, 3.0),
+           chirality=chiralities, m=st.sampled_from([1, 2]), fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_recovers_any_translation_on_a_twisted_circle(self, alpha, gamma, xi0, chirality, m, fraction):
+        # the fixed cases above, swept; at n = 512 the parabola's worst deviation here was 3.2e-7
+        wave = TravellingWave(ModelParams(alpha, gamma), WaveBranch.KINK_ARRAY, xi0, chirality)
+        state = init_from_wave(wave, 512, Circle(m))
+        s = fraction * state.length
+        moved = replace(state, phi=np.asarray(phi_eval(wave, state.x - s, 0.0)))
+        deviation, shift = comoving_deviation(moved, wave)
+        assert deviation <= 1e-6
+        assert abs(math.remainder(shift - s, state.length)) <= state.dx / 2
 
 
 class TestTotalEnergy:
@@ -741,6 +884,15 @@ class TestTotalEnergy:
         assert defects[0] / defects[1] > 3.0
 
 
+def diagnostic_case(domain):
+    """(wave, state) at n = 64: a kink array on Circle(1), or increasing2 on a pinned segment."""
+    if domain == "circle":
+        wave = kink_array_wave()
+        return wave, init_from_wave(wave, 64, Circle(1))
+    wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.INCREASING2)
+    return wave, init_from_wave(wave, 64, Segment(-10.0, 10.0))
+
+
 @pytest.mark.parametrize("poison", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("domain, diagnostic", [
     ("circle", "total_energy"), ("circle", "winding_number"), ("circle", "comoving_deviation"),
@@ -748,20 +900,24 @@ class TestTotalEnergy:
 ])
 def test_diagnostics_of_a_non_finite_field_are_non_finite_and_quiet(poison, domain, diagnostic):
     # pytest's filterwarnings turns numpy's "invalid value" RuntimeWarning (cos(inf), inf - inf) into
-    # a failure
-    if domain == "circle":
-        wave = kink_array_wave()
-        state = init_from_wave(wave, 64, Circle(1))
-    else:
-        wave = TravellingWave(ModelParams(0.5, 0.5), WaveBranch.INCREASING2)
-        state = init_from_wave(wave, 64, Segment(-10.0, 10.0))
+    # a failure; the scan must also return the full scan's doubles
+    wave, state = diagnostic_case(domain)
     state = replace(state, phi=np.where(np.arange(state.n) == 5, poison, state.phi))
     value = {
         "total_energy": lambda: total_energy(state, wave.params),
         "winding_number": lambda: winding_number(state),
-        "comoving_deviation": lambda: comoving_deviation(state, wave)[0],
+        "comoving_deviation": lambda: assert_scan_is_the_full_scan(state, wave)[0],
     }[diagnostic]()
     assert not math.isfinite(value)
+
+
+@pytest.mark.parametrize("domain", ["circle", "segment"])
+def test_diagnostics_of_a_huge_finite_field_are_inf_and_quiet(domain):
+    # its squares overflow: pytest's filterwarnings turns numpy's "overflow" RuntimeWarning into a failure
+    wave, state = diagnostic_case(domain)
+    state = replace(state, phi=np.full(64, 1e200))
+    assert comoving_deviation(state, wave)[0] == math.inf
+    assert total_energy(state, wave.params) == math.inf
 
 
 class TestEvolve:
